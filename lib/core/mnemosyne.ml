@@ -159,6 +159,25 @@ let pfree t ~slot = Pmheap.Heap.pfree t.heap ~slot
 
 let thread t i env = Mtm.Txn.thread t.pool i env
 
+let start_drainers ?(drain_period_ns = 0) ?(shards = 1) sim pool =
+  let pmem = Mtm.Txn.pmem pool in
+  let machine = (Pmem.default_view pmem).Pmem.env.Scm.Env.machine in
+  let svcs =
+    Array.init shards (fun k ->
+        let env =
+          Scm.Env.view machine
+            ~delay:(fun ns -> Sim.delay sim ns)
+            ~now:(fun () -> Sim.now sim)
+        in
+        let dview = Pmem.view pmem env in
+        Sim.Service.spawn sim ~work:(fun () ->
+            if drain_period_ns > 0 then Sim.delay sim drain_period_ns;
+            Mtm.Txn.drain_pipeline ~shard:(k, shards) pool dview))
+  in
+  Mtm.Txn.set_drain_wake pool
+    (Some (fun tid -> Sim.Service.wake svcs.(tid mod shards)));
+  svcs
+
 let atomically t f =
   let th =
     match t.main_thread with

@@ -130,6 +130,19 @@ val atomically : t -> (Mtm.Txn.t -> 'a) -> 'a
 
 val thread : t -> int -> Scm.Env.t -> Mtm.Txn.thread
 
+val start_drainers :
+  ?drain_period_ns:int -> ?shards:int -> Sim.t -> Mtm.Txn.pool ->
+  Sim.Service.t array
+(** Deploy the pipelined commit's write-back drainers: [shards]
+    (default 1) {!Sim.Service} daemons, daemon [k] sweeping the threads
+    with [id mod shards = k] through {!Mtm.Txn.drain_pipeline} on its
+    own simulated-time view, and a drain-wake hook waking the daemon
+    that owns the committing thread.  [drain_period_ns > 0] models a
+    scarce log manager: each daemon gets the CPU at most once per
+    period.  Returns the services: stop them ({!Sim.Service.stop},
+    which drains leftovers first) once the last producer finishes, or
+    {!Sim.run} ends in [Sim.Deadlock] with the daemons parked. *)
+
 (** Raw word logs for append-only structures (table 3's log class). *)
 module Log : sig
   type log

@@ -186,20 +186,9 @@ let run ?schedule cfg =
      sweeping every thread's pending write-backs, woken by commits.  A
      parked daemon at simulation end would deadlock the run, so the
      last worker to finish stops it (stop drains leftovers first). *)
-  let service = ref None in
-  if cfg.pipeline then begin
-    let denv =
-      Scm.Env.view machine
-        ~delay:(fun ns -> Sim.delay sim ns)
-        ~now:(fun () -> Sim.now sim)
-    in
-    let dview = Pmem.view (Mtm.Txn.pmem pool) denv in
-    let svc =
-      Sim.Service.spawn sim ~work:(fun () -> Mtm.Txn.drain_pipeline pool dview)
-    in
-    Mtm.Txn.set_drain_wake pool (Some (fun _tid -> Sim.Service.wake svc));
-    service := Some svc
-  end;
+  let services =
+    if cfg.pipeline then Mnemosyne.start_drainers sim pool else [||]
+  in
   let running = ref cfg.threads in
   (* Serving-style admission over the fuzz workload: one policy shared
      by the workers, with synthetic queue depths forcing a deterministic
@@ -276,10 +265,7 @@ let run ?schedule cfg =
               | exception Mtm.Txn.Contention -> incr contention)
         done;
         decr running;
-        if !running = 0 then
-          match !service with
-          | Some svc -> Sim.Service.stop svc
-          | None -> ())
+        if !running = 0 then Array.iter Sim.Service.stop services)
   done;
   Sim.run sim;
   Mtm.Txn.set_history_hook pool None;

@@ -27,7 +27,6 @@ type config = {
   ts_lease : int;  (* cts values leased per shared-counter refill *)
   lock_stripes : int;  (* lock-table stripes (power of two) *)
   group_commit : bool;  (* share one log-flush fence per drain window *)
-  gc_window_ns : int;  (* leader lingers this long gathering companions *)
   gc_trunc_batch : int;  (* sync truncations retired per batch *)
   (* Pipelined-commit knobs.  Off by default: with [pipeline = false]
      the path below the durability point is the scalable protocol,
@@ -37,8 +36,6 @@ type config = {
          data-line flushing + log truncation to a drainer *)
   pipe_window : int;  (* commits in flight awaiting write-back, per thread *)
   cm : cm;
-  cm_wait_ns : int;  (* adaptive: bounded wait on a younger lock owner *)
-  cm_backoff_cap_ns : int;  (* adaptive: retry-backoff ceiling *)
 }
 
 let default_config =
@@ -52,13 +49,10 @@ let default_config =
     ts_lease = 1;
     lock_stripes = 1;
     group_commit = false;
-    gc_window_ns = 0;
     gc_trunc_batch = 8;
     pipeline = false;
     pipe_window = 8;
     cm = Cm_legacy;
-    cm_wait_ns = 800;
-    cm_backoff_cap_ns = 12800;
   }
 
 exception Contention
@@ -168,8 +162,9 @@ and thread = {
   mutable nreads : int;
   mutable cur_txid : int;  (* id of the transaction running here, 0 = none *)
   mutable draining : bool;
-      (* the drainer popped this queue and has not yet advanced the
-         head: inline drains must wait instead of double-retiring *)
+      (* a retirer ({!retire}) claimed this queue and has not yet
+         advanced the head: other retirers skip it, and a producer
+         waits instead of double-retiring *)
   mutable race_pushes : int;
       (* detector bookkeeping: descriptors pushed/popped through
          [pending_q], numbering the per-item plain-access labels so
@@ -538,62 +533,30 @@ let[@inline] race_q_probe th =
   | Some h ->
       h.Race_api.acquire ("mtm.th." ^ string_of_int th.id ^ ".pending_q")
 
+(* Per-id labels are only built under [Some]: the stamp publish sits
+   on every transaction's commit path, so an eager [^] there would
+   allocate with the detector off. *)
+let[@inline] race_on pool event label x =
+  match pool.race with None -> () | Some h -> event h (label x)
+
+let rel h = h.Race_api.release
+let acq h = h.Race_api.acquire
+let rmw h = h.Race_api.rmw
+
 let[@inline] draining_label th = "mtm.th." ^ string_of_int th.id ^ ".draining"
-
-let[@inline] race_draining_set th =
-  match th.pool.race with
-  | None -> ()
-  | Some h -> h.Race_api.rmw (draining_label th)
-
-let[@inline] race_draining_clear th =
-  match th.pool.race with
-  | None -> ()
-  | Some h -> h.Race_api.release (draining_label th)
-
-let[@inline] race_draining_read th =
-  match th.pool.race with
-  | None -> ()
-  | Some h -> h.Race_api.acquire (draining_label th)
-
 let[@inline] gc_done_label th = "mtm.th." ^ string_of_int th.id ^ ".gc_done"
 let[@inline] cm_stamp_label i = "mtm.cm.stamp." ^ string_of_int i
-
-(* Per-id labels must only be built under [Some]: the stamp publish
-   sits on every transaction's commit path, so an eager [^] there
-   would allocate with the detector off. *)
-let[@inline] race_rel_stamp pool i =
-  match pool.race with
-  | None -> ()
-  | Some h -> h.Race_api.release (cm_stamp_label i)
-
-let[@inline] race_acq_stamp pool i =
-  match pool.race with
-  | None -> ()
-  | Some h -> h.Race_api.acquire (cm_stamp_label i)
-
-let[@inline] race_rel_gc_done pool th =
-  match pool.race with
-  | None -> ()
-  | Some h -> h.Race_api.release (gc_done_label th)
-
-let[@inline] race_acq_gc_done pool th =
-  match pool.race with
-  | None -> ()
-  | Some h -> h.Race_api.acquire (gc_done_label th)
-
-let[@inline] race_rmw_gc_done pool th =
-  match pool.race with
-  | None -> ()
-  | Some h -> h.Race_api.rmw (gc_done_label th)
-
-let[@inline] race_rmw pool label =
-  match pool.race with None -> () | Some h -> h.Race_api.rmw label
-
-let[@inline] race_acq pool label =
-  match pool.race with None -> () | Some h -> h.Race_api.acquire label
-
-let[@inline] race_rel_label pool label =
-  match pool.race with None -> () | Some h -> h.Race_api.release label
+let[@inline] race_draining_set th = race_on th.pool rmw draining_label th
+let[@inline] race_draining_clear th = race_on th.pool rel draining_label th
+let[@inline] race_draining_read th = race_on th.pool acq draining_label th
+let[@inline] race_rel_stamp pool i = race_on pool rel cm_stamp_label i
+let[@inline] race_acq_stamp pool i = race_on pool acq cm_stamp_label i
+let[@inline] race_rel_gc_done pool th = race_on pool rel gc_done_label th
+let[@inline] race_acq_gc_done pool th = race_on pool acq gc_done_label th
+let[@inline] race_rmw_gc_done pool th = race_on pool rmw gc_done_label th
+let[@inline] race_rmw pool label = race_on pool rmw Fun.id label
+let[@inline] race_acq pool label = race_on pool acq Fun.id label
+let[@inline] race_rel_label pool label = race_on pool rel Fun.id label
 
 (* Attribute everything since the last mark to [phase] and advance the
    mark.  Only called when the pool has a ledger; reads the clock but
@@ -714,6 +677,8 @@ let line_abort_count pool addr =
    the bounded budget makes that doubly safe.  Only reachable under
    [Cm_adaptive]. *)
 let cm_poll_ns = 80
+let cm_wait_ns = 800  (* bounded wait on a younger lock owner *)
+let cm_backoff_cap_ns = 12800  (* ceiling of the exponential retry backoff *)
 
 let[@inline] cm_should_wait th o =
   th.pool.cfg.cm == Cm_adaptive
@@ -732,7 +697,7 @@ let cm_wait_for_release th locks idx ~owner =
   let pool = th.pool in
   let env = th.view.Pmem.env in
   pool.cm_waits <- pool.cm_waits + 1;
-  let budget = ref pool.cfg.cm_wait_ns in
+  let budget = ref cm_wait_ns in
   let freed = ref false in
   while (not !freed) && !budget > 0 do
     let q = min cm_poll_ns !budget in
@@ -1001,81 +966,128 @@ let charge_log_read (dview : Pmem.view) ~nwrites =
   dview.Pmem.env.delay
     (words * dview.Pmem.env.machine.latency.dram_read_ns / 2)
 
+(* How a retirer learns which lines a deferred record covers.
+   [Log_read] is the paper's truncation daemon, paying
+   {!charge_log_read} per record (figure 6 depends on it).
+   [Descriptor] is the pipelined commit's drainer: the commit handed the
+   write-set addresses over in a volatile descriptor while they were in
+   registers, so the sweep touches DRAM once per record and the log is
+   only ever re-read by recovery. *)
+type charge = Log_read | Descriptor
+
+(* The one retire path for deferred records.  Sweep [ths] in order and
+   claim every queue nobody else is retiring through [draining] (inline
+   drains, truncation daemons and pipeline drainers all exclude each
+   other there, so no record is retired twice and no head advance
+   overtakes another retirer's flush), popping up to [batch]
+   descriptors per thread in one yield-free snapshot: producers pushing
+   while the memory traffic below is charged land in the next round.
+   Then charge the reads to [dview]'s fiber, flush the sorted union of
+   the popped records' data lines (lines hot across records or threads
+   flushed once) under one fence, and advance every claimed log's head
+   with one combined fence ({!Pmlog.Rawl.advance_head_group}).  The
+   popped records all sit in their log at once, so each summed span is
+   at most the capacity and each advance wraps at most once.  Returns
+   the number of records retired. *)
+let retire ~charge ~batch (dview : Pmem.view) ths =
+  let claimed = ref [] and work = ref [] and naddrs = ref 0 in
+  List.iter
+    (fun th ->
+      race_draining_read th;
+      race_q_probe th;
+      if (not th.draining) && not (Queue.is_empty th.pending_q) then begin
+        race_draining_set th;
+        th.draining <- true;
+        let records = ref 0 and words = ref 0 in
+        while !records < batch && not (Queue.is_empty th.pending_q) do
+          race_q_pop th;
+          let p = Queue.pop th.pending_q in
+          incr records;
+          words := !words + p.span;
+          naddrs := !naddrs + Array.length p.addrs;
+          work := p :: !work
+        done;
+        claimed := (th, !records, !words) :: !claimed
+      end)
+    ths;
+  match !claimed with
+  | [] -> 0
+  | (th0, _, _) :: _ as claimed ->
+      let work = List.rev !work in
+      let nrecords = List.length work in
+      (match charge with
+      | Log_read ->
+          List.iter
+            (fun p -> charge_log_read dview ~nwrites:(Array.length p.addrs))
+            work
+      | Descriptor ->
+          dview.Pmem.env.delay
+            (nrecords * dview.Pmem.env.machine.latency.dram_read_ns));
+      (match work with
+      | [ p ] -> flush_sorted_lines dview p.addrs (Array.length p.addrs)
+      | _ ->
+          let all = Array.make (max 1 !naddrs) 0 in
+          let off = ref 0 in
+          List.iter
+            (fun p ->
+              Array.blit p.addrs 0 all !off (Array.length p.addrs);
+              off := !off + Array.length p.addrs)
+            work;
+          Wset.sort_prefix all ~len:!naddrs;
+          flush_sorted_lines dview all !naddrs);
+      Pmlog.Rawl.advance_head_group
+        (List.map (fun (th, records, words) -> (th.log, records, words))
+           claimed);
+      (* the deferred tail of each retired commit's causal flow *)
+      List.iter
+        (fun p ->
+          if p.txid <> 0 then Obs.flow th0.pool.obs ~phase:`End ~id:p.txid)
+        work;
+      List.iter
+        (fun (th, _, _) ->
+          race_draining_clear th;
+          th.draining <- false)
+        claimed;
+      nrecords
+
 let process_one_truncation th dview =
-  race_q_probe th;
-  match Queue.take_opt th.pending_q with
-  | None -> false
-  | Some { span; addrs; txid } ->
-      race_q_pop th;
-      charge_log_read dview ~nwrites:(Array.length addrs);
-      flush_sorted_lines dview addrs (Array.length addrs);
-      Pmlog.Rawl.advance_head th.log ~words:span;
-      (* the deferred tail of the commit's causal flow: this truncation
-         retired transaction [txid]'s record *)
-      if txid <> 0 then Obs.flow th.pool.obs ~phase:`End ~id:txid;
-      true
+  retire ~charge:Log_read ~batch:1 dview [ th ] > 0
 
 let process_truncations th dview =
-  let count = ref 0 in
-  while process_one_truncation th dview do
-    incr count
-  done;
-  !count
-
-(* Retire every queued truncation as one batch: flush the union of the
-   batch's dirty lines (hot lines flushed once, not once per commit),
-   then advance the head over all the spans with a single fence.  The
-   queued records all sit in the log simultaneously, so the summed span
-   is at most the capacity and the advance wraps at most once. *)
-let drain_truncations_batched th =
-  race_q_probe th;
-  if not (Queue.is_empty th.pending_q) then begin
-    let total_words = ref 0 and total_addrs = ref 0 in
-    Queue.iter
-      (fun p ->
-        total_words := !total_words + p.span;
-        total_addrs := !total_addrs + Array.length p.addrs)
-      th.pending_q;
-    let nrecords = Queue.length th.pending_q in
-    let all = Array.make (max 1 !total_addrs) 0 in
-    let off = ref 0 in
-    while not (Queue.is_empty th.pending_q) do
-      race_q_pop th;
-      let { span = _; addrs; txid } = Queue.pop th.pending_q in
-      charge_log_read th.view ~nwrites:(Array.length addrs);
-      Array.blit addrs 0 all !off (Array.length addrs);
-      off := !off + Array.length addrs;
-      if txid <> 0 then Obs.flow th.pool.obs ~phase:`End ~id:txid
-    done;
-    Wset.sort_prefix all ~len:!total_addrs;
-    flush_sorted_lines th.view all !total_addrs;
-    Pmlog.Rawl.advance_head th.log ~records:nrecords ~words:!total_words
-  end
-
-let drain_truncations_blocking th =
-  if th.pool.cfg.group_commit then drain_truncations_batched th
-  else begin
-    race_q_probe th;
-    while not (Queue.is_empty th.pending_q) do
-      race_q_pop th;
-      let { span; addrs; txid } = Queue.pop th.pending_q in
-      charge_log_read th.view ~nwrites:(Array.length addrs);
-      flush_sorted_lines th.view addrs (Array.length addrs);
-      Pmlog.Rawl.advance_head th.log ~words:span;
-      if txid <> 0 then Obs.flow th.pool.obs ~phase:`End ~id:txid
-    done
-  end
+  let rec go n = if process_one_truncation th dview then go (n + 1) else n in
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Pipelined commit: the write-back drainer                            *)
 
+(* One sweep of the pool-level drainer: {!retire} over every bound
+   thread (in [pool.threads] order) with the descriptor charge and no
+   batch bound.  False when no thread had work.  This is the
+   asynchronous stage that lets transaction [n+1] run while transaction
+   [n]'s write-back drains.
+
+   [shard = (k, n)] sweeps only threads with [id mod n = k]: one
+   drainer fiber serializes every producer's flush traffic through
+   itself, so deployments with many threads shard the pool across
+   several daemons (see [Mnemosyne.start_drainers]) and wake the
+   responsible one via the thread id passed to the [drain_wake]
+   hook. *)
+let drain_pipeline ?shard pool (dview : Pmem.view) =
+  let ths =
+    match shard with
+    | None -> pool.threads
+    | Some (k, n) -> List.filter (fun th -> th.id mod n = k) pool.threads
+  in
+  retire ~charge:Descriptor ~batch:max_int dview ths > 0
+
 let drain_poll_ns = 60
 
-(* Inline drain of this thread's own queue, mutually excluded against
-   the pool drainer: if the drainer already popped the queue (so the
-   head has not advanced yet), wait for it rather than double-retiring
-   records. *)
-let pipe_drain_self th =
+(* Retire this thread's own queue inline, the producer-side fallback
+   when no daemon keeps up: per record under plain asynchronous
+   truncation, as one batch under group commit or the pipeline.  If a
+   retirer already claimed the queue, wait for its head advance
+   instead. *)
+let retire_own th =
   race_draining_read th;
   if th.draining then begin
     let env = th.view.Pmem.env in
@@ -1085,12 +1097,41 @@ let pipe_drain_self th =
     done
   end
   else begin
-    race_draining_set th;
-    th.draining <- true;
-    drain_truncations_batched th;
-    race_draining_clear th;
-    th.draining <- false
+    let cfg = th.pool.cfg in
+    let batch = if cfg.pipeline || cfg.group_commit then max_int else 1 in
+    while retire ~charge:Log_read ~batch th.view [ th ] > 0 do
+      ()
+    done
   end
+
+(* The one bounded drainer wait: wake the daemon owning this thread and
+   poll until [busy th] clears, re-waking every 64 polls.  The producer
+   never wedges: with no daemon installed, or once 4096 polls pass with
+   the daemon starved or gone, it retires its own queue inline. *)
+let await_drainer th busy =
+  (match th.pool.drain_wake with
+  | None -> ()
+  | Some wake ->
+      wake th.id;
+      let env = th.view.Pmem.env in
+      let polls = ref 0 in
+      while busy th && !polls < 4096 do
+        env.Scm.Env.delay drain_poll_ns;
+        incr polls;
+        if !polls land 63 = 0 then wake th.id
+      done);
+  if busy th then retire_own th
+
+(* A retire is owed on this thread: records are queued, or a retirer
+   has popped some and not yet advanced the head. *)
+let retire_owed th =
+  race_q_probe th;
+  race_draining_read th;
+  (not (Queue.is_empty th.pending_q)) || th.draining
+
+let window_full th =
+  race_q_probe th;
+  Queue.length th.pending_q >= max 1 th.pool.cfg.pipe_window
 
 (* The in-flight window: a pipelined commit returns with its data
    write-back still pending; once [pipe_window] commits are pending on
@@ -1099,115 +1140,10 @@ let pipe_drain_self th =
    daemon installed the producer clears its own window — the pipeline
    degrades to batched inline truncation rather than deadlocking. *)
 let pipe_backpressure th =
-  let pool = th.pool in
-  let window = max 1 pool.cfg.pipe_window in
-  race_q_probe th;
-  if Queue.length th.pending_q >= window then begin
-    (match pool.drain_wake with
-    | None -> pipe_drain_self th
-    | Some wake ->
-        wake th.id;
-        let env = th.view.Pmem.env in
-        let polls = ref 0 in
-        while Queue.length th.pending_q >= window && !polls < 4096 do
-          env.Scm.Env.delay drain_poll_ns;
-          incr polls;
-          race_q_probe th;
-          if !polls land 63 = 0 then wake th.id
-        done;
-        (* daemon starved or gone: clear the window ourselves *)
-        race_q_probe th;
-        if Queue.length th.pending_q >= window then pipe_drain_self th);
-    if pool.txprof != None then prof_phase th Obs.Txprof.ph_drain_wait
+  if window_full th then begin
+    await_drainer th window_full;
+    if th.pool.txprof != None then prof_phase th Obs.Txprof.ph_drain_wait
   end
-
-(* One sweep of the pool-level drainer: pop every registered thread's
-   queued commits in a yield-free snapshot (producers pushing while the
-   sweep's memory traffic is charged land in the next round, and inline
-   drains see either a full queue or an empty one — never half), charge
-   the descriptor reads to the drainer's own fiber, flush the union of
-   the batch's data lines (lines hot across threads flushed once) under
-   one fence, then advance every log's head with one more combined
-   fence ({!Pmlog.Rawl.advance_head_group}).  False when no thread had
-   work.  This is the asynchronous stage that lets transaction [n+1]
-   run while transaction [n]'s write-back drains.
-
-   Unlike the legacy async truncation daemon — which scans the log and
-   pays {!charge_log_read} per record, the paper's figure-6 cost — the
-   pipelined commit hands the drainer a volatile work descriptor (the
-   write-set addresses, captured at commit time while they were in
-   registers), so the drainer touches DRAM once per record and the log
-   itself is only ever re-read by recovery.
-
-   [shard = (k, n)] sweeps only threads with [id mod n = k]: one
-   drainer fiber serializes every producer's flush traffic through
-   itself, so deployments with many threads shard the pool across
-   several daemons (the bench uses one per 4 workers) and wake the
-   responsible one via the thread id passed to the [drain_wake]
-   hook. *)
-let drain_pipeline ?shard pool (dview : Pmem.view) =
-  let mine th =
-    match shard with None -> true | Some (k, n) -> th.id mod n = k
-  in
-  let batches = ref [] in
-  let total_addrs = ref 0 in
-  List.iter
-    (fun th ->
-      if mine th then begin
-        race_draining_read th;
-        race_q_probe th
-      end;
-      if mine th && (not th.draining) && not (Queue.is_empty th.pending_q)
-      then begin
-        race_draining_set th;
-        th.draining <- true;
-        let records = ref 0 and words = ref 0 in
-        let addrs = ref [] and txids = ref [] in
-        while not (Queue.is_empty th.pending_q) do
-          race_q_pop th;
-          let p = Queue.pop th.pending_q in
-          incr records;
-          words := !words + p.span;
-          total_addrs := !total_addrs + Array.length p.addrs;
-          addrs := p.addrs :: !addrs;
-          if p.txid <> 0 then txids := p.txid :: !txids
-        done;
-        batches := (th, !records, !words, !addrs, !txids) :: !batches
-      end)
-    pool.threads;
-  match !batches with
-  | [] -> false
-  | batches ->
-      (* one DRAM touch per descriptor (the queue entry; the address
-         array rides in the same lines) — not a log re-read *)
-      let nrecords =
-        List.fold_left (fun acc (_, r, _, _, _) -> acc + r) 0 batches
-      in
-      dview.Pmem.env.delay
-        (nrecords * dview.Pmem.env.machine.latency.dram_read_ns);
-      let all = Array.make (max 1 !total_addrs) 0 in
-      let off = ref 0 in
-      List.iter
-        (fun (_, _, _, addr_arrays, _) ->
-          List.iter
-            (fun a ->
-              Array.blit a 0 all !off (Array.length a);
-              off := !off + Array.length a)
-            addr_arrays)
-        batches;
-      Wset.sort_prefix all ~len:!total_addrs;
-      flush_sorted_lines dview all !total_addrs;
-      Pmlog.Rawl.advance_head_group
-        (List.map
-           (fun (th, records, words, _, _) -> (th.log, records, words))
-           batches);
-      List.iter
-        (fun (th, _, _, _, txids) ->
-          List.iter (fun txid -> Obs.flow pool.obs ~phase:`End ~id:txid) txids;
-          race_draining_clear th;
-          th.draining <- false)
-        batches;
-      true
 
 (* ------------------------------------------------------------------ *)
 (* Group commit                                                        *)
@@ -1224,13 +1160,9 @@ let drain_pipeline ?shard pool (dview : Pmem.view) =
 
 let gc_poll_ns = 40
 
-let gc_lead th pool (env : Scm.Env.t) =
+let gc_lead th pool =
   race_rmw pool "mtm.gc.lead";
   pool.gc_leading <- true;
-  (* linger to gather companions, unless running alone (the window
-     would be pure added latency) *)
-  if pool.cfg.gc_window_ns > 0 && Timestamp.active_threads pool.ts > 1 then
-    env.delay pool.cfg.gc_window_ns;
   race_rmw pool "mtm.gc.waiters";
   let members = pool.gc_waiters in
   pool.gc_waiters <- [];
@@ -1250,7 +1182,7 @@ let rec gc_wait th pool (env : Scm.Env.t) =
   race_acq_gc_done pool th;
   if not th.gc_done then begin
     race_acq pool "mtm.gc.lead";
-    if not pool.gc_leading then gc_lead th pool env
+    if not pool.gc_leading then gc_lead th pool
     else begin
       env.delay gc_poll_ns;
       gc_wait th pool env
@@ -1259,17 +1191,11 @@ let rec gc_wait th pool (env : Scm.Env.t) =
 
 let gc_retire th =
   let pool = th.pool in
-  let env = th.view.Pmem.env in
   race_rmw_gc_done pool th;
   th.gc_done <- false;
   race_rmw pool "mtm.gc.waiters";
   pool.gc_waiters <- th :: pool.gc_waiters;
-  race_acq pool "mtm.gc.lead";
-  if pool.gc_leading then begin
-    env.delay gc_poll_ns;
-    gc_wait th pool env
-  end
-  else gc_lead th pool env
+  gc_wait th pool th.view.Pmem.env
 
 (* ------------------------------------------------------------------ *)
 (* Commit / abort                                                      *)
@@ -1328,52 +1254,22 @@ let append_record tx buf ~len =
     match Pmlog.Rawl.append_bytes tx.th.log buf ~len with
     | Pmlog.Rawl.Appended span -> span
     | Pmlog.Rawl.Full ->
-        race_q_probe tx.th;
-        race_draining_read tx.th;
-        if Queue.is_empty tx.th.pending_q && not tx.th.draining then
+        if not (retire_owed tx.th) then
           failwith
             (record_capacity_msg tx ~context:"transaction record larger \
                                               than the log" ~len)
         else begin
           (* "If the log manager thread is unable to execute, program
-             threads may stall until there is free log space." *)
+             threads may stall until there is free log space."  The log
+             can only be full because commits are parked in [pending_q]
+             or mid-retire (checked above): wait for the drainer daemon
+             owning them, which clears [draining] only after the head
+             advance, or retire them inline. *)
           let pool = tx.th.pool in
           pool.log_full_stalls <- pool.log_full_stalls + 1;
           let env = tx.th.view.Pmem.env in
           let t0 = env.Scm.Env.now () in
-          (if pool.cfg.pipeline then begin
-             match pool.drain_wake with
-             | None -> pipe_drain_self tx.th
-             | Some wake ->
-                 (* The log can only be full because commits are parked
-                    in [pending_q] (checked above) — work that belongs
-                    to the shard's drainer daemon.  Historically this
-                    path drained inline without waking it, so a stalled
-                    producer waited on a *parked* drainer forever while
-                    paying the figure-6 inline-drain cost itself.  Wake
-                    the owner and wait for it to retire the queue and
-                    advance the head (it clears [draining] only after
-                    the advance); if it is starved or gone, fall back
-                    to the inline drain so the producer never wedges. *)
-                 wake tx.th.id;
-                 let polls = ref 0 in
-                 while
-                   ((not (Queue.is_empty tx.th.pending_q))
-                   || tx.th.draining)
-                   && !polls < 4096
-                 do
-                   env.Scm.Env.delay drain_poll_ns;
-                   incr polls;
-                   race_q_probe tx.th;
-                   race_draining_read tx.th;
-                   if !polls land 63 = 0 then wake tx.th.id
-                 done;
-                 race_q_probe tx.th;
-                 race_draining_read tx.th;
-                 if (not (Queue.is_empty tx.th.pending_q)) || tx.th.draining
-                 then pipe_drain_self tx.th
-           end
-           else drain_truncations_blocking tx.th);
+          await_drainer tx.th retire_owed;
           let dur = env.Scm.Env.now () - t0 in
           (* let the profiler split the stall out of the log phase *)
           tx.th.prof_stall_ns <- tx.th.prof_stall_ns + dur;
@@ -1510,45 +1406,38 @@ let commit_redo tx =
     Pmem.store th.view th.sorted.(i)
       (Bytes.get_int64_le enc (8 * ((2 * i) + 3)))
   done;
-  (if pool.cfg.pipeline then begin
-     (* Pipelined: the record is durable and the new values are in the
-        cache, so hand the expensive tail — data-line flushing and log
-        truncation — to the drainer and release the locks right away.
-        Readers that acquire these lines before the write-back lands
-        observe the committed values through the cache at version
-        [cts]; a crash is covered because recovery replays the still
-        unretired record. *)
+  (if pool.cfg.truncation = Sync
+      && not (pool.cfg.group_commit || pool.cfg.pipeline)
+   then begin
+     (* synchronous truncation retires the commit's own log record
+        inline ([truncate_all] also owns torn-bit rotation): the causal
+        flow ends here, not on a deferred retire *)
+     flush_sorted_lines th.view th.sorted n;
+     Pmlog.Rawl.truncate_all th.log;
+     if th.cur_txid <> 0 then Obs.flow pool.obs ~phase:`End ~id:th.cur_txid
+   end
+   else begin
+     (* Defer the retire.  Pipelined: the record is durable and the new
+        values are in the cache, so the drainer takes the expensive
+        tail — data-line flushing and log truncation — and the locks
+        release right away; readers that acquire these lines before the
+        write-back lands observe the committed values through the cache
+        at version [cts], and a crash is covered because recovery
+        replays the still unretired record.  Group commit: retire a
+        whole batch at once, so the data-line flush dedupes lines hot
+        across the batch and the head advances once per batch.  Async:
+        the truncation daemon's work. *)
      race_q_push th;
      Queue.push
        { span; addrs = Array.sub th.sorted 0 n; txid = th.cur_txid }
        th.pending_q;
-     match pool.drain_wake with Some wake -> wake th.id | None -> ()
-   end
-   else
-     match pool.cfg.truncation with
-     | Sync when pool.cfg.group_commit ->
-         (* defer, then retire a whole batch at once: the data-line
-            flush dedupes lines hot across the batch and the head
-            advances (one fence) once per batch instead of once per
-            commit *)
-         race_q_push th;
-         Queue.push
-           { span; addrs = Array.sub th.sorted 0 n; txid = th.cur_txid }
-           th.pending_q;
-         if Queue.length th.pending_q >= max 1 pool.cfg.gc_trunc_batch then
-           drain_truncations_batched th
-     | Sync ->
-         flush_sorted_lines th.view th.sorted n;
-         Pmlog.Rawl.truncate_all th.log;
-         (* synchronous truncation retires the commit's own log record
-            inline: the causal flow ends here, not on a deferred drain *)
-         if th.cur_txid <> 0 then
-           Obs.flow pool.obs ~phase:`End ~id:th.cur_txid
-     | Async ->
-         race_q_push th;
-         Queue.push
-           { span; addrs = Array.sub th.sorted 0 n; txid = th.cur_txid }
-           th.pending_q);
+     if pool.cfg.pipeline then
+       (match pool.drain_wake with Some wake -> wake th.id | None -> ())
+     else if
+       pool.cfg.truncation = Sync
+       && Queue.length th.pending_q >= max 1 pool.cfg.gc_trunc_batch
+     then ignore (retire ~charge:Log_read ~batch:max_int th.view [ th ])
+   end);
   let t3 = env.Scm.Env.now () in
   if pool.txprof != None then prof_phase th Obs.Txprof.ph_write_back;
   release_locks tx ~committed:true ~version:cts;
@@ -1724,6 +1613,21 @@ let cancel (_ : t) = raise Cancelled
 
 let thread_id (tx : t) = tx.th.id
 
+(* Stamp transaction [txid] (0 = none) down the stack: the log and the
+   access layer attribute appends — and the write-backs and drains they
+   later cause — to it.  Plain int stores: no simulated time, no rng, no
+   allocation, so the default schedule and sim figures are untouched.
+   Also publish the matching contention-manager priority stamp, [max_int]
+   when idle: assigned once per [run], not per attempt, so a transaction
+   that keeps retrying keeps its (low, old) stamp and ages into
+   priority. *)
+let set_running th txid =
+  th.cur_txid <- txid;
+  th.view.Pmem.env.Scm.Env.cur_txid <- txid;
+  Pmlog.Rawl.set_owner th.log txid;
+  race_rel_stamp th.pool th.id;
+  th.pool.cm_stamps.(th.id) <- (if txid = 0 then max_int else txid)
+
 let run th f =
   match th.current with
   | Some tx -> f tx  (* flat nesting *)
@@ -1731,22 +1635,9 @@ let run th f =
       let pool = th.pool in
       let env = th.view.Pmem.env in
       Obs.set_tid pool.obs th.id;
-      (* Stamp a fresh transaction id down the stack: the log and the
-         access layer attribute appends — and the write-backs and
-         drains they later cause — to it.  Plain int stores: no
-         simulated time, no rng, no allocation, so the default
-         schedule and sim figures are untouched. *)
       race_rmw pool "mtm.txid";
       pool.next_txid <- pool.next_txid + 1;
-      let txid = pool.next_txid in
-      th.cur_txid <- txid;
-      env.Scm.Env.cur_txid <- txid;
-      Pmlog.Rawl.set_owner th.log txid;
-      (* Publish the contention-manager priority stamp: assigned once
-         per [run], not per attempt, so a transaction that keeps
-         retrying keeps its (low, old) stamp and ages into priority. *)
-      race_rel_stamp pool th.id;
-      pool.cm_stamps.(th.id) <- txid;
+      set_running th pool.next_txid;
       (* [prof_stall_ns] accumulates in [append_record] whether or not a
          ledger is installed, so it must start clean unconditionally: a
          stale stall from an unprofiled transaction leaking into the
@@ -1765,11 +1656,7 @@ let run th f =
       let rec attempt n =
         if n > pool.cfg.max_attempts then begin
           pool.contention_failures <- pool.contention_failures + 1;
-          th.cur_txid <- 0;
-          env.Scm.Env.cur_txid <- 0;
-          Pmlog.Rawl.set_owner th.log 0;
-          race_rel_stamp pool th.id;
-          pool.cm_stamps.(th.id) <- max_int;
+          set_running th 0;
           raise Contention
         end;
         th.view.Pmem.env.delay (th.view.Pmem.env.machine.latency.txn_begin_ns);
@@ -1811,7 +1698,7 @@ let run th f =
                    harder and desynchronize, cold conflicts retry fast *)
                 let hits = line_abort_count pool th.last_conflict_addr in
                 let shift = min (n - 1 + min hits 3) 7 in
-                min pool.cfg.cm_backoff_cap_ns (50 * (1 lsl shift) * (1 + jitter))
+                min cm_backoff_cap_ns (50 * (1 lsl shift) * (1 + jitter))
           in
           pool.backoff_ns <- pool.backoff_ns + backoff;
           th.view.Pmem.env.delay backoff;
@@ -1829,11 +1716,7 @@ let run th f =
             in
             if committed then begin
               th.current <- None;
-              th.cur_txid <- 0;
-              env.Scm.Env.cur_txid <- 0;
-              Pmlog.Rawl.set_owner th.log 0;
-              race_rel_stamp pool th.id;
-              pool.cm_stamps.(th.id) <- max_int;
+              set_running th 0;
               result
             end
             else finish_abort ()
@@ -1848,11 +1731,7 @@ let run th f =
         | exception e ->
             th.current <- None;
             rollback tx;
-            th.cur_txid <- 0;
-            env.Scm.Env.cur_txid <- 0;
-            Pmlog.Rawl.set_owner th.log 0;
-            race_rel_stamp pool th.id;
-            pool.cm_stamps.(th.id) <- max_int;
+            set_running th 0;
             raise e
       in
       attempt 1

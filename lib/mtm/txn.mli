@@ -46,11 +46,11 @@ type version_mgmt = Lazy_redo | Eager_undo
 (** Conflict-management policy.  [Cm_legacy] (default) aborts on any
     foreign lock owner and backs off linearly with random jitter —
     bit-identical to before the knob existed.  [Cm_adaptive] adds
-    timestamp-priority waiting (wait-die: the older transaction polls a
-    bounded [cm_wait_ns] for a younger owner to release and then
-    retries the access; a younger transaction aborts at once, so wait
-    chains run strictly old-to-young and cannot deadlock) and a capped
-    exponential retry backoff scaled by how contended the aborting
+    timestamp-priority waiting (wait-die: the older transaction polls at
+    most 800 ns for a younger owner to release and then retries the
+    access; a younger transaction aborts at once, so wait chains run
+    strictly old-to-young and cannot deadlock) and an exponential retry
+    backoff, capped at 12.8 µs, scaled by how contended the aborting
     cache line has been.  Priority stamps are assigned once per {!run}
     — not per attempt — so a transaction that keeps retrying ages into
     higher priority (karma), which is what flattens the contended
@@ -86,10 +86,6 @@ type config = {
       (** Share one durability fence among transactions retiring in the
           same drain window (redo logging only), and batch synchronous
           truncations [gc_trunc_batch] at a time.  Default false. *)
-  gc_window_ns : int;
-      (** How long a group-commit leader lingers gathering companions
-          before fencing (skipped when running alone); 0 fences
-          immediately with whoever has already arrived. *)
   gc_trunc_batch : int;
       (** Under [group_commit], synchronous truncations are deferred
           and retired in batches of this size: one data-line flush pass
@@ -111,11 +107,6 @@ type config = {
       (** Commits in flight awaiting write-back per thread before the
           producer blocks (the profiler's drain-wait phase). *)
   cm : cm;  (** Conflict-management policy. *)
-  cm_wait_ns : int;
-      (** [Cm_adaptive]: how long an older transaction polls for a
-          younger lock owner to release before giving up and aborting. *)
-  cm_backoff_cap_ns : int;
-      (** [Cm_adaptive]: ceiling of the exponential retry backoff. *)
 }
 
 val default_config : config
@@ -190,7 +181,27 @@ val free_addr : t -> int -> unit
     any more).  The caller is responsible for having removed every
     persistent reference transactionally. *)
 
-(** {1 Asynchronous truncation} *)
+(** {1 Retiring committed write-backs}
+
+    A redo-logged commit is durable once its record is fenced.
+    Retiring it afterwards — flushing its data lines and advancing the
+    log head past the record — is the paper's log manager, which
+    "consumes the log and forces values out to memory".  [Sync]
+    truncation retires inline in the commit; every other configuration
+    queues a descriptor on the thread and retires it later through one
+    routine with two policies:
+    - {e batch}: one record per retire for the truncation daemon and
+      the per-record self-drain; the whole queue for group commit and
+      the pipeline;
+    - {e charge}: a log re-read per record for the paper's truncation
+      daemon and for inline drains (figure 6's cost), one DRAM
+      descriptor read per record for the pipeline drainer.
+
+    A retire claims each queue it sweeps (inline drains, daemons and
+    drainers exclude each other), flushes the sorted union of the
+    popped records' lines under one fence, and advances every claimed
+    head with one combined fence.  A producer whose log fills waits for
+    the claiming retirer, or retires its own queue, then retries. *)
 
 val pending_truncations : thread -> int
 
@@ -202,42 +213,40 @@ val log_occupancy : thread -> int * int
     path (DESIGN.md section 17). *)
 
 val process_truncations : thread -> Region.Pmem.view -> int
-(** Daemon body: flush the data of committed transactions queued on
-    this thread's log and advance the log head past them.  Costs are
+(** Daemon body: retire this thread's queued records one at a time,
+    re-reading each from the log, until none is left.  Costs are
     charged to the daemon view's environment.  Returns records
     processed. *)
 
 val process_one_truncation : thread -> Region.Pmem.view -> bool
-(** Process a single queued record; false when the queue is empty.
-    Lets a daemon interleave its work with CPU-availability accounting
-    (the figure-6 harness). *)
-
-val drain_truncations_blocking : thread -> unit
-(** Producer-side fallback when the log is full and no daemon keeps up:
-    process this thread's own queue synchronously. *)
+(** Retire a single queued record; false when the queue is empty or
+    another retirer holds it.  Lets a daemon interleave its work with
+    CPU-availability accounting (the figure-6 harness). *)
 
 (** {1 Pipelined commit} *)
 
 val drain_pipeline : ?shard:int * int -> pool -> Region.Pmem.view -> bool
-(** One sweep of the pipelined-commit drainer: pop every bound thread's
-    pending write-backs, charge the work-descriptor reads to [view]'s
-    fiber (the commit handed over the write-set addresses in DRAM, so
-    unlike the legacy truncation daemon nothing is re-read from the
-    log), flush the union of the batch's data lines under one fence,
-    then advance every log's head with one combined fence.  False when
-    no thread had work.  [shard:(k, n)] restricts the sweep to threads
-    with [id mod n = k] — one drainer fiber serializes its producers'
-    flush traffic, so large pools deploy several daemons, each owning a
-    shard.  Made for {!Sim.Service}:
+(** One sweep of the pipelined-commit drainer: retire every bound
+    thread's pending write-backs as one batch, charging one descriptor
+    read per record to [view]'s fiber (the commit handed over the
+    write-set addresses in DRAM, so unlike the truncation daemon nothing
+    is re-read from the log).  False when no thread had work.
+    [shard:(k, n)] restricts the sweep to threads with [id mod n = k] —
+    one drainer fiber serializes its producers' flush traffic, so large
+    pools deploy several daemons, each owning a shard.  Made for
+    {!Sim.Service}:
     [Service.spawn sim ~work:(fun () -> Txn.drain_pipeline pool dview)]
-    — the daemon's traffic overlaps the producers' next transactions. *)
+    — the daemon's traffic overlaps the producers' next transactions;
+    [Mnemosyne.start_drainers] deploys a sharded set. *)
 
 val set_drain_wake : pool -> (int -> unit) option -> unit
 (** Hook the drainer daemons' wake-up ({!Sim.Service.wake}).  Called
     with the committing thread's id whenever a pipelined commit queues
     write-back work, so a sharded deployment wakes the daemon owning
     that thread; [None] (the default) leaves producers draining their
-    own queues at the window bound. *)
+    own queues at the window bound.  A producer blocked on its window
+    or on a full log wakes the daemon and polls for at most 4096 × 60
+    ns, re-waking every 64 polls, before retiring its queue inline. *)
 
 (** {1 Statistics and observability} *)
 

@@ -135,21 +135,17 @@ let run ?sim ?geometry ~dir cfg =
   (* Sharded write-back drainers, as in the pipelined scale bench: the
      admission policy's boost path and the STM's wake hook both land on
      the daemon owning the committing thread's shard. *)
+  (* [drain_period_ns > 0] models the paper's scarce log manager: the
+     daemon only gets the CPU once per period, so under a burst the log
+     genuinely fills and the two policies differ in what happens next
+     (shed vs stall). *)
   let pool = Mnemosyne.pool inst in
   let nshards = max 1 (cfg.workers / max 1 cfg.workers_per_drainer) in
   let svcs =
-    Array.init nshards (fun k ->
-        let dview = Region.Pmem.view (Mtm.Txn.pmem pool) (env_of ()) in
-        Sim.Service.spawn sim ~work:(fun () ->
-            (* [drain_period_ns > 0] models the paper's scarce log
-               manager: the daemon only gets the CPU once per period,
-               so under a burst the log genuinely fills and the two
-               policies differ in what happens next (shed vs stall). *)
-            if cfg.drain_period_ns > 0 then Sim.delay sim cfg.drain_period_ns;
-            Mtm.Txn.drain_pipeline ~shard:(k, nshards) pool dview))
+    Mnemosyne.start_drainers ~drain_period_ns:cfg.drain_period_ns
+      ~shards:nshards sim pool
   in
   let wake_shard tid = Sim.Service.wake svcs.(tid mod nshards) in
-  Mtm.Txn.set_drain_wake pool (Some wake_shard);
   (* Open-loop sources: one arrival process per tenant, sleeping seeded
      inter-arrival gaps and never waiting on service.  "Millions of
      simulated users" appear as the aggregate arrival process of a

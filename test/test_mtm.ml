@@ -550,6 +550,186 @@ let test_log_full_blocks_until_truncated () =
       done;
       Alcotest.(check int) "all committed" 20 (Mtm.Txn.stats pool).commits)
 
+(* A truncation daemon retiring one record at a time races a producer
+   whose log holds exactly one record.  While the daemon is between
+   popping the last descriptor and advancing the head, the producer's
+   append finds the log full and the queue empty: it must wait for the
+   daemon's retire to land, not fail as if the record could never fit
+   (an 18-word record against a 29-word maximum). *)
+let test_async_daemon_vs_log_full () =
+  with_tmpdir (fun dir ->
+      let m, pmem = stack dir in
+      let cfg =
+        { small_cfg with truncation = Mtm.Txn.Async; log_cap_words = 32 }
+      in
+      let pool = Mtm.Txn.create_pool ~config:cfg pmem None in
+      let data = data_region pmem 65536 in
+      let sim = Sim.create () in
+      let th = ref None in
+      let live = ref true in
+      Sim.spawn sim (fun () ->
+          let t = Mtm.Txn.thread pool 0 (sim_env sim m) in
+          th := Some t;
+          Fun.protect
+            ~finally:(fun () -> live := false)
+            (fun () ->
+              for k = 0 to 19 do
+                Mtm.Txn.run t (fun tx ->
+                    for j = 0 to 7 do
+                      Mtm.Txn.store tx (data + (k * 512) + (j * 64)) 1L
+                    done)
+              done));
+      Sim.spawn sim (fun () ->
+          let dview = Region.Pmem.view pmem (sim_env sim m) in
+          while !live do
+            Sim.delay sim 100;
+            match !th with
+            | Some t -> ignore (Mtm.Txn.process_one_truncation t dview)
+            | None -> ()
+          done);
+      Sim.run sim;
+      Alcotest.(check int) "all committed" 20 (Mtm.Txn.stats pool).commits)
+
+(* ------------------------------------------------------------------ *)
+(* Retire-path cost pins: each way a committed write-back is retired,
+   run end to end under the simulator.  The final clock and the
+   machine's flush, fence and truncation counters pin the arm's exact
+   simulated cost, so a refactor of the retire path must keep every
+   delay it charges. *)
+
+let check_retire_cost name (now, flushes, fences, truncations) pool sim =
+  let check what expected actual =
+    Alcotest.(check int) (name ^ ": " ^ what) expected actual
+  in
+  let ctr c =
+    Obs.Metrics.counter_value
+      (Obs.Metrics.counter (Mtm.Txn.obs pool).Obs.metrics c)
+  in
+  check "sim now" now (Sim.now sim);
+  check "scm.flushes" flushes (ctr "scm.flushes");
+  check "scm.fences" fences (ctr "scm.fences");
+  check "log.truncations" truncations (ctr "log.truncations")
+
+(* [txns] transactions of [writes] words each on thread [i]'s private
+   8 KiB window; consecutive transactions share lines, so batched
+   retires dedupe hot lines. *)
+let commit_load th data i ~txns ~writes =
+  for k = 0 to txns - 1 do
+    Mtm.Txn.run th (fun tx ->
+        for j = 0 to writes - 1 do
+          Mtm.Txn.store tx
+            (data + (i * 8192) + ((((k * writes) + j) * 24) mod 8192))
+            (Int64.of_int (k + 1))
+        done)
+  done
+
+(* [producers] threads run [commit_load] under the simulator; [finish]
+   runs once the last one is done. *)
+let run_producers ?(finish = fun () -> ()) sim m pool data ~producers ~txns
+    ~writes =
+  let running = ref producers in
+  for i = 0 to producers - 1 do
+    Sim.spawn sim (fun () ->
+        let th = Mtm.Txn.thread pool i (sim_env sim m) in
+        commit_load th data i ~txns ~writes;
+        decr running;
+        if !running = 0 then finish ())
+  done
+
+let retire_pool dir config =
+  let m, pmem = stack dir in
+  let pool = Mtm.Txn.create_pool ~config pmem None in
+  (m, pool, data_region pmem 65536)
+
+let test_retire_cost_sync_inline () =
+  with_tmpdir (fun dir ->
+      let m, pool, data = retire_pool dir small_cfg in
+      let sim = Sim.create () in
+      run_producers sim m pool data ~producers:2 ~txns:12 ~writes:6;
+      Sim.run sim;
+      check_retire_cost "sync inline" (245611, 66, 1150, 28) pool sim)
+
+let test_retire_cost_group_commit () =
+  with_tmpdir (fun dir ->
+      let config =
+        { small_cfg with ts_lease = 4; group_commit = true; gc_trunc_batch = 5 }
+      in
+      let m, pool, data = retire_pool dir config in
+      let sim = Sim.create () in
+      run_producers sim m pool data ~producers:2 ~txns:12 ~writes:6;
+      Sim.run sim;
+      check_retire_cost "group commit batch" (246235, 46, 1110, 8) pool sim)
+
+let test_retire_cost_async_daemon () =
+  with_tmpdir (fun dir ->
+      let config = { small_cfg with truncation = Mtm.Txn.Async } in
+      let m, pool, data = retire_pool dir config in
+      let sim = Sim.create () in
+      let ths = ref [] in
+      let live = ref true in
+      let running = ref 2 in
+      for i = 0 to 1 do
+        Sim.spawn sim (fun () ->
+            let th = Mtm.Txn.thread pool i (sim_env sim m) in
+            ths := !ths @ [ th ];
+            commit_load th data i ~txns:12 ~writes:6;
+            decr running;
+            if !running = 0 then live := false)
+      done;
+      Sim.spawn sim (fun () ->
+          let dview = Region.Pmem.view (Mtm.Txn.pmem pool) (sim_env sim m) in
+          while !live do
+            Sim.delay sim 700;
+            List.iter
+              (fun th -> ignore (Mtm.Txn.process_one_truncation th dview))
+              !ths
+          done;
+          List.iter
+            (fun th -> ignore (Mtm.Txn.process_truncations th dview))
+            !ths);
+      Sim.run sim;
+      check_retire_cost "async daemon" (255508, 66, 1150, 28) pool sim)
+
+let test_retire_cost_pipeline_drainers () =
+  with_tmpdir (fun dir ->
+      let config =
+        {
+          small_cfg with
+          ts_lease = 4;
+          lock_stripes = 4;
+          group_commit = true;
+          pipeline = true;
+          pipe_window = 4;
+        }
+      in
+      let m, pool, data = retire_pool dir config in
+      let sim = Sim.create () in
+      let svcs =
+        Array.init 2 (fun k ->
+            let dview = Region.Pmem.view (Mtm.Txn.pmem pool) (sim_env sim m) in
+            Sim.Service.spawn sim ~work:(fun () ->
+                Mtm.Txn.drain_pipeline ~shard:(k, 2) pool dview))
+      in
+      Mtm.Txn.set_drain_wake pool
+        (Some (fun tid -> Sim.Service.wake svcs.(tid mod 2)));
+      run_producers sim m pool data ~producers:4 ~txns:12 ~writes:6
+        ~finish:(fun () -> Array.iter Sim.Service.stop svcs);
+      Sim.run sim;
+      check_retire_cost "pipeline drainers" (242478, 118, 1155, 30) pool sim)
+
+let test_retire_cost_log_full_self_drain () =
+  with_tmpdir (fun dir ->
+      let config =
+        { small_cfg with truncation = Mtm.Txn.Async; log_cap_words = 96 }
+      in
+      let m, pool, data = retire_pool dir config in
+      let sim = Sim.create () in
+      run_producers sim m pool data ~producers:1 ~txns:24 ~writes:6;
+      Sim.run sim;
+      Alcotest.(check bool) "the log filled" true
+        ((Mtm.Txn.stats pool).Mtm.Txn.log_full_stalls > 0);
+      check_retire_cost "log-full self-drain" (265649, 55, 1141, 24) pool sim)
+
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
@@ -1243,6 +1423,20 @@ let () =
             test_async_daemon_truncates;
           Alcotest.test_case "log full blocks until truncated" `Quick
             test_log_full_blocks_until_truncated;
+          Alcotest.test_case "async daemon racing a full log" `Quick
+            test_async_daemon_vs_log_full;
+        ] );
+      ( "retire cost",
+        [
+          Alcotest.test_case "sync inline" `Quick test_retire_cost_sync_inline;
+          Alcotest.test_case "group commit batch" `Quick
+            test_retire_cost_group_commit;
+          Alcotest.test_case "async daemon" `Quick
+            test_retire_cost_async_daemon;
+          Alcotest.test_case "pipeline drainers" `Quick
+            test_retire_cost_pipeline_drainers;
+          Alcotest.test_case "log-full self-drain" `Quick
+            test_retire_cost_log_full_self_drain;
         ] );
       ( "undo",
         [

@@ -610,13 +610,7 @@ let test_stall_and_drain_wait_same_commit () =
       in
       Sim.spawn sim (fun () ->
           let th = Mtm.Txn.thread pool 0 sim_env in
-          let dview = Region.Pmem.view (Mtm.Txn.pmem pool) sim_env in
-          let svc =
-            Sim.Service.spawn sim ~work:(fun () ->
-                Mtm.Txn.drain_pipeline pool dview)
-          in
-          Mtm.Txn.set_drain_wake pool
-            (Some (fun _tid -> Sim.Service.wake svc));
+          let svcs = Mnemosyne.start_drainers sim pool in
           let wide i =
             Mtm.Txn.run th (fun tx ->
                 (* 16 distinct cache lines: the daemon's write-back
@@ -628,7 +622,7 @@ let test_stall_and_drain_wait_same_commit () =
           in
           wide 1;
           wide 2;
-          Sim.Service.stop svc);
+          Array.iter Sim.Service.stop svcs);
       Sim.run sim;
       Alcotest.(check int) "commits recorded" 2 (Obs.Txprof.count tp);
       Alcotest.(check int) "the second commit stalled" 1
