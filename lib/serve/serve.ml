@@ -288,7 +288,8 @@ let run ?sim ?geometry ~dir cfg =
       p50_us = pct hist 50.0;
       p99_us = pct hist 99.0;
       p999_us = pct hist 99.9;
-      goodput_per_s = float_of_int !slo_ok /. float_of_int window_ns *. 1e9;
+      goodput_per_s =
+        float_of_int !slo_ok /. float_of_int (max 1 cfg.duration_ns) *. 1e9;
       shed_rate =
         float_of_int (Admission.shed adm) /. float_of_int (max 1 !offered);
       window_ns;

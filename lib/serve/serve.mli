@@ -67,9 +67,13 @@ type stats = {
   p99_us : float;
   p999_us : float;  (** Arrival-to-completion, queueing included. *)
   goodput_per_s : float;  (** Within-SLO completions per simulated
-                              second — late answers are not goodput,
-                              which is what lets an unbounded-stall
-                              config "complete" everything yet still
+                              second of the offered arrival horizon
+                              ([duration_ns]), so two configurations
+                              offered the same load compare directly
+                              whatever backlog each leaves to drain.
+                              Late answers are not goodput, which is
+                              what lets an unbounded-stall config
+                              "complete" everything yet still
                               collapse. *)
   shed_rate : float;  (** Shed fraction of offered load. *)
   window_ns : int;  (** Simulated span measured over (arrival horizon
