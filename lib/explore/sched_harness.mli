@@ -66,6 +66,13 @@ type cfg = {
 val default_cfg : dir:string -> cfg
 (** 3 threads, 8 transactions each, 16 slots, shuffle policy, seed 0. *)
 
+val geometry : Mnemosyne.geometry
+(** The instance geometry every run opens: 2048 SCM frames, 64 heap
+    superblocks, 256 KiB of large-object heap. *)
+
+val mtm_config : cfg -> Mtm.Txn.config
+(** The STM configuration a run of [cfg] opens its instance with. *)
+
 type outcome = {
   schedule : Sim.Schedule.t;  (** As recorded (or replayed). *)
   history : Mtm.History.t;

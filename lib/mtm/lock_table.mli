@@ -12,11 +12,15 @@
     single-threadedly.
 
     The table can be striped: entries are spread over [stripes]
-    independent arrays so adjacent lines land on different stripes and
+    independent stripes so adjacent lines land on different stripes and
     lock metadata for disjoint address ranges stops sharing cache
     lines.  Handles returned by {!index_of} encode (entry, stripe);
     with one stripe (the default) the handle is exactly the historical
-    flat index. *)
+    flat index.
+
+    Storage is allocated by touch: entries live in copy-on-write chunks
+    that all start as one shared chunk of free entries, so creating a
+    table costs its chunk directory, not [stripes * 2^bits] entries. *)
 
 type t
 

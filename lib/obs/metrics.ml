@@ -6,7 +6,9 @@ type histogram = {
   h_name : string;
   sub_bits : int;
   sub : int;  (* 1 lsl sub_bits *)
-  buckets : int array;
+  mutable buckets : int array;
+      (* grown on demand up to the highest index recorded: a histogram
+         that never sees a large value never pays for its buckets *)
   mutable n : int;
   mutable sum : int;
   mutable min_v : int;
@@ -69,9 +71,7 @@ let make_histogram ?(sub_bits = default_sub_bits) name =
     h_name = name;
     sub_bits;
     sub;
-    (* one linear segment below [sub], then one [sub]-wide segment per
-       power of two up to bit 62 *)
-    buckets = Array.make ((64 - sub_bits) * sub) 0;
+    buckets = [||];
     n = 0;
     sum = 0;
     min_v = max_int;
@@ -110,9 +110,20 @@ let value_of_index h i =
     let m = (i / h.sub) - 1 + h.sub_bits in
     (h.sub + (i mod h.sub)) lsl (m - h.sub_bits)
 
+(* One linear segment below [sub], then one [sub]-wide segment per
+   power of two up to bit 62. *)
+let nbuckets h = (64 - h.sub_bits) * h.sub
+
 let record h v =
   let v = if v < 0 then 0 else v in
-  h.buckets.(index h v) <- h.buckets.(index h v) + 1;
+  let i = index h v in
+  let len = Array.length h.buckets in
+  if i >= len then begin
+    let b = Array.make (min (nbuckets h) (max (i + 1) (2 * len))) 0 in
+    Array.blit h.buckets 0 b 0 len;
+    h.buckets <- b
+  end;
+  h.buckets.(i) <- h.buckets.(i) + 1;
   h.n <- h.n + 1;
   h.sum <- h.sum + v;
   if v < h.min_v then h.min_v <- v;
@@ -124,7 +135,6 @@ let hmean h = if h.n = 0 then 0.0 else float_of_int h.sum /. float_of_int h.n
 let hmin h = if h.n = 0 then 0 else h.min_v
 let hmax h = h.max_v
 let histogram_name h = h.h_name
-let nbuckets h = Array.length h.buckets
 
 let hreset h =
   Array.fill h.buckets 0 (Array.length h.buckets) 0;

@@ -82,6 +82,9 @@ val percentile : histogram -> float -> int
 
 val histogram_name : histogram -> string
 val nbuckets : histogram -> int
+(** Buckets covering the whole value range.  They are allocated on
+    demand, up to the highest one recorded. *)
+
 val hreset : histogram -> unit
 
 (** {1 Dumping} *)

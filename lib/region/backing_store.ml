@@ -2,6 +2,9 @@ type t = {
   dir : string;
   page_io_ns : int;
   names : (string, int) Hashtbl.t;
+  sizes : (int, int) Hashtbl.t;
+      (* inode -> length of every file present: stat'ed once at open,
+         then kept by this store, the directory's only writer *)
   mutable next_inode : int;
 }
 
@@ -47,8 +50,25 @@ let load_index t =
 
 let open_dir ?(page_io_ns = 2500) dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let t = { dir; page_io_ns; names = Hashtbl.create 8; next_inode = 1 } in
+  let t =
+    {
+      dir;
+      page_io_ns;
+      names = Hashtbl.create 8;
+      sizes = Hashtbl.create 8;
+      next_inode = 1;
+    }
+  in
   load_index t;
+  Array.iter
+    (fun name ->
+      if String.length name = 7 && name.[0] = 'f' then
+        match int_of_string_opt (String.sub name 1 6) with
+        | Some inode ->
+            Hashtbl.replace t.sizes inode
+              (Unix.stat (file_path t inode)).Unix.st_size
+        | None -> ())
+    (Sys.readdir dir);
   t
 
 let dir t = t.dir
@@ -60,6 +80,7 @@ let create_file t ?name () =
   t.next_inode <- inode + 1;
   let oc = open_out_bin (file_path t inode) in
   close_out oc;
+  Hashtbl.replace t.sizes inode 0;
   (match name with Some n -> Hashtbl.replace t.names n inode | None -> ());
   save_index t;
   inode
@@ -68,42 +89,39 @@ let find t name = Hashtbl.find_opt t.names name
 
 let delete_file t inode =
   incr mutations;
-  let p = file_path t inode in
-  if Sys.file_exists p then Sys.remove p;
+  if Hashtbl.mem t.sizes inode then begin
+    Sys.remove (file_path t inode);
+    Hashtbl.remove t.sizes inode
+  end;
   let stale =
     Hashtbl.fold (fun n i acc -> if i = inode then n :: acc else acc) t.names []
   in
   List.iter (Hashtbl.remove t.names) stale;
   save_index t
 
-let file_exists t inode = Sys.file_exists (file_path t inode)
+let file_exists t inode = Hashtbl.mem t.sizes inode
 
 let list_inodes t =
-  Sys.readdir t.dir |> Array.to_list
-  |> List.filter_map (fun name ->
-         if String.length name = 7 && name.[0] = 'f' then
-           int_of_string_opt (String.sub name 1 6)
-         else None)
+  Hashtbl.fold (fun inode _ acc -> inode :: acc) t.sizes []
   |> List.sort compare
 
+let size t inode = Option.value (Hashtbl.find_opt t.sizes inode) ~default:0
+
+(* A page at or past end of file (every page of a file created empty
+   and not yet written) reads as zeros without touching the file. *)
 let read_page t inode page_off buf =
-  let p = file_path t inode in
-  if not (Sys.file_exists p) then Bytes.fill buf 0 (Bytes.length buf) '\000'
+  let len = Bytes.length buf in
+  let start = page_off * len in
+  let avail = min len (size t inode - start) in
+  if avail <= 0 then Bytes.fill buf 0 len '\000'
   else begin
-    let ic = open_in_bin p in
+    let ic = open_in_bin (file_path t inode) in
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () ->
-        let size = in_channel_length ic in
-        let start = page_off * Bytes.length buf in
-        if start >= size then Bytes.fill buf 0 (Bytes.length buf) '\000'
-        else begin
-          seek_in ic start;
-          let avail = min (Bytes.length buf) (size - start) in
-          really_input ic buf 0 avail;
-          if avail < Bytes.length buf then
-            Bytes.fill buf avail (Bytes.length buf - avail) '\000'
-        end)
+        seek_in ic start;
+        really_input ic buf 0 avail;
+        if avail < len then Bytes.fill buf avail (len - avail) '\000')
   end
 
 let write_page t inode page_off buf =
@@ -121,7 +139,9 @@ let write_page t inode page_off buf =
           write_all (off + n) (remaining - n)
         end
       in
-      write_all 0 (Bytes.length buf))
+      write_all 0 (Bytes.length buf));
+  Hashtbl.replace t.sizes inode
+    (max (size t inode) ((page_off + 1) * Bytes.length buf))
 
 let sync t =
   incr mutations;

@@ -8,7 +8,12 @@
 
     Files are identified by inode number; a small persistent index file
     maps names ("static", region files) to inodes, standing in for the
-    filesystem namespace. *)
+    filesystem namespace.
+
+    A store is its directory's only writer while open: it lists and
+    [stat]s the files once at {!open_dir} and keeps their lengths in
+    memory from then on, so reading a page a file does not have yet
+    never opens the file. *)
 
 type t
 

@@ -71,9 +71,8 @@ val make_machine :
   nframes:int ->
   unit ->
   machine
-(** Build a machine: device of [nframes] 4-KiB frames plus cache.
-    [obs] defaults to a fresh handle with tracing disabled;
-    [crash_point] to a fresh disarmed counter. *)
+(** {!machine_of_device} over a fresh zeroed device of [nframes] 4-KiB
+    frames. *)
 
 val machine_of_device :
   ?latency:Latency_model.t ->
@@ -83,8 +82,10 @@ val machine_of_device :
   ?crash_point:Crashpoint.t ->
   Scm_device.t ->
   machine
-(** Wrap an existing device (e.g. one reloaded from a crash image) in
-    fresh volatile machine state. *)
+(** Wrap a device (e.g. one reloaded from a crash image) in fresh
+    volatile machine state: cache, write-combining buffers, counters.
+    [obs] defaults to a fresh handle with tracing disabled;
+    [crash_point] to a fresh disarmed counter. *)
 
 val standalone : machine -> t
 (** An environment with its own private clock starting at 0. *)

@@ -1,8 +1,15 @@
+(* The device is one [Bytes.t] per frame, and storage is paid for by
+   touch, not by geometry.  Every frame starts as the device's one
+   shared, never-written [zero] frame; the first write to a frame gives
+   it its own bytes, and a whole-frame write of zeros (a fresh page, a
+   zero-page fault) hands it back.  Reads need no branch. *)
 type t = {
-  arena : Bytes.t;
+  frames : Bytes.t array;
+  zero : Bytes.t;
   frame_size : int;
   fshift : int;  (* log2 frame_size, or -1 if not a power of two *)
   nframes : int;
+  size : int;  (* nframes * frame_size *)
   writes : int array;  (* per-frame wear counters *)
   mutable total_writes : int;
   (* Undo journal (crash-point exploration): when enabled, every
@@ -37,17 +44,18 @@ let shift_of frame_size =
     !s
   end
 
-let create ?(frame_size = 4096) ~nframes () =
-  if nframes <= 0 then invalid_arg "Scm_device.create: nframes";
-  if frame_size <= 0 || frame_size land 7 <> 0 then
-    invalid_arg "Scm_device.create: frame_size";
+(* A device over [frames]; the journal starts fresh and disabled. *)
+let of_frames ~zero ~frame_size frames writes total_writes =
+  let nframes = Array.length frames in
   {
-    arena = Bytes.make (nframes * frame_size) '\000';
+    frames;
+    zero;
     frame_size;
     fshift = shift_of frame_size;
     nframes;
-    writes = Array.make nframes 0;
-    total_writes = 0;
+    size = nframes * frame_size;
+    writes;
+    total_writes;
     j_on = false;
     j_addrs = [||];
     j_lens = [||];
@@ -58,22 +66,79 @@ let create ?(frame_size = 4096) ~nframes () =
     j_blen = 0;
   }
 
+let create ?(frame_size = 4096) ~nframes () =
+  if nframes <= 0 then invalid_arg "Scm_device.create: nframes";
+  if frame_size <= 0 || frame_size land 7 <> 0 then
+    invalid_arg "Scm_device.create: frame_size";
+  let zero = Bytes.make frame_size '\000' in
+  of_frames ~zero ~frame_size (Array.make nframes zero) (Array.make nframes 0) 0
+
 let frame_size t = t.frame_size
 let nframes t = t.nframes
-let size_bytes t = t.nframes * t.frame_size
+let size_bytes t = t.size
 
 let check t addr len =
-  if addr < 0 || addr + len > Bytes.length t.arena then
+  if addr < 0 || addr + len > t.size then
     invalid_arg
       (Printf.sprintf "Scm_device: address %#x+%d out of range" addr len)
 
 let[@inline] frame_of t addr =
   if t.fshift >= 0 then addr lsr t.fshift else addr / t.frame_size
 
-let[@inline] bump t addr =
-  let f = frame_of t addr in
+let[@inline] bump_frame t f =
   t.writes.(f) <- t.writes.(f) + 1;
   t.total_writes <- t.total_writes + 1
+
+let copy_zero t f =
+  let b = Bytes.make t.frame_size '\000' in
+  t.frames.(f) <- b;
+  b
+
+let[@inline] writable t f =
+  let b = t.frames.(f) in
+  if b != t.zero then b else copy_zero t f
+
+let is_zero buf off len =
+  let rec go i =
+    i >= len || (Bytes.get_int64_ne buf (off + i) = 0L && go (i + 8))
+  in
+  go 0
+
+(* Write [n] bytes into frame [f] at [o]; a whole frame of zeros hands
+   the frame back to the shared zero frame. *)
+let put t f o buf off n =
+  if n = t.frame_size && is_zero buf off n then t.frames.(f) <- t.zero
+  else Bytes.blit buf off (writable t f) o n
+
+(* Byte spans may cross frames.  A span within one frame (every word,
+   and every line of the cache) takes the fast path; page-sized
+   transfers and journal replay may split, calling [k f o pos n] for
+   each piece: [n] bytes at offset [o] of frame [f], [pos] bytes into
+   the span. *)
+let iter_pieces t addr len k =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let f = frame_of t a in
+    let o = a - (f * t.frame_size) in
+    let n = min (len - !pos) (t.frame_size - o) in
+    k f o !pos n;
+    pos := !pos + n
+  done
+
+let blit_out t addr buf off len =
+  let f = frame_of t addr in
+  let o = addr - (f * t.frame_size) in
+  if o + len <= t.frame_size then Bytes.blit t.frames.(f) o buf off len
+  else
+    iter_pieces t addr len (fun f o pos n ->
+        Bytes.blit t.frames.(f) o buf (off + pos) n)
+
+let blit_in t buf off addr len =
+  let f = frame_of t addr in
+  let o = addr - (f * t.frame_size) in
+  if o + len <= t.frame_size then put t f o buf off len
+  else iter_pieces t addr len (fun f o pos n -> put t f o buf (off + pos) n)
 
 let j_grow_entries t =
   let cap = max 1024 (2 * Array.length t.j_addrs) in
@@ -101,7 +166,7 @@ let j_record t addr len frame =
   t.j_lens.(t.j_n) <- len;
   t.j_offs.(t.j_n) <- t.j_blen;
   t.j_frames.(t.j_n) <- frame;
-  Bytes.blit t.arena addr t.j_bytes t.j_blen len;
+  blit_out t addr t.j_bytes t.j_blen len;
   t.j_n <- t.j_n + 1;
   t.j_blen <- t.j_blen + len
 
@@ -119,7 +184,7 @@ let journal_mark t = { m_n = t.j_n; m_blen = t.j_blen }
 
 let journal_undo_to t mark =
   for i = t.j_n - 1 downto mark.m_n do
-    Bytes.blit t.j_bytes t.j_offs.(i) t.arena t.j_addrs.(i) t.j_lens.(i);
+    blit_in t t.j_bytes t.j_offs.(i) t.j_addrs.(i) t.j_lens.(i);
     let f = t.j_frames.(i) in
     if f >= 0 then begin
       t.writes.(f) <- t.writes.(f) - 1;
@@ -133,37 +198,39 @@ let load64 t addr =
   check t addr 8;
   if not (Word.is_aligned addr) then
     invalid_arg (Printf.sprintf "Scm_device.load64: unaligned %#x" addr);
-  Word.get t.arena addr
+  let f = frame_of t addr in
+  Word.get t.frames.(f) (addr - (f * t.frame_size))
+
+(* For drain loops over addresses already validated at post time (the
+   write-combining buffer checks alignment and range on entry). *)
+let[@inline] store64_unchecked t addr v =
+  let f = frame_of t addr in
+  if t.j_on then j_record t addr 8 f;
+  Word.set (writable t f) (addr - (f * t.frame_size)) v;
+  bump_frame t f
 
 let store64 t addr v =
   check t addr 8;
   if not (Word.is_aligned addr) then
     invalid_arg (Printf.sprintf "Scm_device.store64: unaligned %#x" addr);
-  if t.j_on then j_record t addr 8 (frame_of t addr);
-  Word.set t.arena addr v;
-  bump t addr
-
-(* For drain loops over addresses already validated at post time (the
-   write-combining buffer checks alignment and range on entry). *)
-let[@inline] store64_unchecked t addr v =
-  if t.j_on then j_record t addr 8 (frame_of t addr);
-  Word.set t.arena addr v;
-  bump t addr
+  store64_unchecked t addr v
 
 let load_byte t addr =
   check t addr 1;
-  Bytes.get t.arena addr
+  let f = frame_of t addr in
+  Bytes.get t.frames.(f) (addr - (f * t.frame_size))
 
 let read_into t addr buf off len =
   check t addr len;
-  Bytes.blit t.arena addr buf off len
+  blit_out t addr buf off len
 
 let write_from t addr buf off len =
   check t addr len;
   if len > 0 then begin
-    if t.j_on then j_record t addr len (frame_of t addr);
-    Bytes.blit buf off t.arena addr len;
-    bump t addr
+    let f = frame_of t addr in
+    if t.j_on then j_record t addr len f;
+    blit_in t buf off addr len;
+    bump_frame t f
   end
 
 let write_count t frame = t.writes.(frame)
@@ -171,6 +238,10 @@ let total_writes t = t.total_writes
 
 let magic = "MNEMSCM1"
 
+let header_bytes = String.length magic + 8
+
+(* Untouched frames are left as holes: the file is extended to its full
+   length and reads back exactly as a dense write would. *)
 let save_image t path =
   let oc = open_out_bin path in
   Fun.protect
@@ -179,7 +250,19 @@ let save_image t path =
       output_string oc magic;
       output_binary_int oc t.frame_size;
       output_binary_int oc t.nframes;
-      output_bytes oc t.arena)
+      Array.iteri
+        (fun f b ->
+          if b != t.zero then begin
+            let pos = header_bytes + (f * t.frame_size) in
+            if pos_out oc <> pos then seek_out oc pos;
+            output_bytes oc b
+          end)
+        t.frames;
+      let len = header_bytes + t.size in
+      if pos_out oc <> len then begin
+        seek_out oc (len - 1);
+        output_char oc '\000'
+      end)
 
 let load_image path =
   let ic = open_in_bin path in
@@ -191,25 +274,19 @@ let load_image path =
       let frame_size = input_binary_int ic in
       let nframes = input_binary_int ic in
       let t = create ~frame_size ~nframes () in
-      really_input ic t.arena 0 (Bytes.length t.arena);
+      let buf = ref (Bytes.create frame_size) in
+      for f = 0 to nframes - 1 do
+        really_input ic !buf 0 frame_size;
+        if not (is_zero !buf 0 frame_size) then begin
+          t.frames.(f) <- !buf;
+          buf := Bytes.create frame_size
+        end
+      done;
       t)
 
+(* Untouched frames stay shared; the copy's journal starts fresh and
+   disabled (it is roll-back scaffolding for the source device). *)
 let copy t =
-  {
-    arena = Bytes.copy t.arena;
-    frame_size = t.frame_size;
-    fshift = t.fshift;
-    nframes = t.nframes;
-    writes = Array.copy t.writes;
-    total_writes = t.total_writes;
-    (* The journal is roll-back scaffolding for the source device; a
-       copy starts with a fresh, disabled one. *)
-    j_on = false;
-    j_addrs = [||];
-    j_lens = [||];
-    j_offs = [||];
-    j_frames = [||];
-    j_n = 0;
-    j_bytes = Bytes.empty;
-    j_blen = 0;
-  }
+  of_frames ~zero:t.zero ~frame_size:t.frame_size
+    (Array.map (fun b -> if b == t.zero then b else Bytes.copy b) t.frames)
+    (Array.copy t.writes) t.total_writes

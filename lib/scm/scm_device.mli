@@ -11,13 +11,19 @@
 
     The arena can be saved to and reloaded from a file, which is how we
     emulate machine reboot: a crash test saves the post-crash image,
-    constructs a fresh device from it, and re-runs recovery. *)
+    constructs a fresh device from it, and re-runs recovery.
+
+    Storage is paid for by touch: every frame starts out sharing one
+    zero frame and gets its own bytes on its first write, and a
+    whole-frame write of zeros hands it back.  None of this is visible
+    through the interface. *)
 
 type t
 
 val create : ?frame_size:int -> nframes:int -> unit -> t
 (** [create ~nframes ()] makes a zeroed device of [nframes] frames of
-    [frame_size] (default 4096) bytes. *)
+    [frame_size] (default 4096, a positive multiple of 8) bytes.  No
+    frame is allocated until it is written. *)
 
 val frame_size : t -> int
 val nframes : t -> int
@@ -52,14 +58,18 @@ val write_count : t -> int -> int
 val total_writes : t -> int
 
 val save_image : t -> string -> unit
-(** Persist the full arena (and geometry) to a file. *)
+(** Persist the full arena (and geometry) to a file.  Only written
+    frames are output; the rest are left as holes in a file of full
+    length, so the file reads back exactly as a dense dump. *)
 
 val load_image : string -> t
-(** Reconstruct a device from a saved image. *)
+(** Reconstruct a device from a saved image; all-zero frames stay
+    unallocated. *)
 
 val copy : t -> t
 (** A snapshot of the device; used by tests that compare pre/post-crash
-    durable state.  The copy's undo journal starts fresh and disabled
+    durable state.  Written frames are copied, untouched ones stay
+    shared.  The copy's undo journal starts fresh and disabled
     regardless of the source's. *)
 
 (** {1 Undo journal}

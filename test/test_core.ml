@@ -142,6 +142,34 @@ let test_keygen_determinism () =
   Alcotest.(check bytes) "seq key stable" (Bytes.of_string "k00000042")
     (Workload.Keygen.seq_key 42)
 
+(* Opening an instance costs what it touches, not what its geometry
+   could hold.  At the schedule harness's geometry with a 4-stripe lock
+   table (4 x 2^18 entries of four words) and a 2048-frame device, an
+   eagerly filled table and arena allocate over 40 MiB; the lazy ones
+   stay far below 8 MiB.  Allocation is counted, not timed, so the
+   bound holds on any host. *)
+let test_open_allocates_touched_state_only () =
+  with_tmpdir (fun dir ->
+      let cfg =
+        {
+          (Explore.Sched_harness.default_cfg ~dir) with
+          lease = 4;
+          stripes = 4;
+          group_commit = true;
+          pipeline = true;
+          cm_adaptive = true;
+        }
+      in
+      let before = Gc.allocated_bytes () in
+      let inst =
+        Mnemosyne.open_instance ~geometry:Explore.Sched_harness.geometry
+          ~mtm:(Explore.Sched_harness.mtm_config cfg) ~dir ()
+      in
+      let mib = (Gc.allocated_bytes () -. before) /. 1048576.0 in
+      Mnemosyne.close inst;
+      if mib >= 8.0 then
+        Alcotest.failf "open_instance allocated %.1f MiB (bound: 8 MiB)" mib)
+
 let () =
   Alcotest.run "core"
     [
@@ -158,6 +186,8 @@ let () =
             test_log_facade_self_truncates_when_full;
           Alcotest.test_case "instances isolated" `Quick
             test_distinct_instances_are_isolated;
+          Alcotest.test_case "open allocates touched state only" `Quick
+            test_open_allocates_touched_state_only;
         ] );
       ( "workload",
         [

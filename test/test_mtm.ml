@@ -1037,6 +1037,78 @@ let prop_lock_striping_geometry =
       (* every byte of a 64-byte line still shares one lock *)
       && Mtm.Lock_table.index_of t ((line * 64) + 63) = h)
 
+(* The table allocates its entries lazily, in copy-on-write chunks
+   behind one shared default chunk.  Against flat reference arrays of
+   the whole geometry, every operation returns what the model says and
+   every entry never written reads as free: (version 0, owner -1,
+   addr 0, rts 0).  Addresses come from a small pool so handles repeat,
+   and the pool spans the aliasing wrap of the biggest table, so chunk
+   boundaries, stripes and wrapped lines all get exercised. *)
+let prop_lock_table_matches_flat_model =
+  let geometries =
+    [| (6, 1); (6, 4); (6, 8); (10, 1); (10, 4); (10, 8); (18, 1); (18, 4);
+       (18, 8) |]
+  in
+  QCheck.Test.make ~name:"lock table: copy-on-write chunks match flat arrays"
+    ~count:60
+    QCheck.(
+      triple (int_bound 8)
+        (list_of_size Gen.(1 -- 16) (int_bound 0x3FFF_FFFF))
+        (list_of_size Gen.(1 -- 120)
+           (quad (int_bound 5) (int_bound 15) (int_bound 3) (int_bound 1000))))
+    (fun (g, pool, ops) ->
+      let bits, nstripes = geometries.(g) in
+      let open Mtm.Lock_table in
+      let t = create ~bits ~stripes:nstripes () in
+      let n = entries t in
+      let versions = Array.make n 0 and owners = Array.make n (-1)
+      and addrs = Array.make n 0 and rtss = Array.make n 0 in
+      let pool = Array.of_list pool in
+      let reads_match h =
+        version t h = versions.(h)
+        && owner t h = owners.(h)
+        && held_addr t h = addrs.(h)
+        && rts t h = rtss.(h)
+      in
+      n = nstripes lsl bits
+      && List.for_all
+           (fun (op, k, o, v) ->
+             let addr = pool.(k mod Array.length pool) in
+             let h = index_of t addr in
+             (match op with
+             | 0 ->
+                 let expect =
+                   if owners.(h) = -1 then begin
+                     owners.(h) <- o;
+                     addrs.(h) <- addr;
+                     true
+                   end
+                   else owners.(h) = o
+                 in
+                 try_acquire t h ~owner:o ~addr = expect
+             | 1 ->
+                 release t h;
+                 owners.(h) <- -1;
+                 true
+             | 2 ->
+                 release_versioned t h ~version:v;
+                 versions.(h) <- v;
+                 owners.(h) <- -1;
+                 true
+             | 3 ->
+                 bump_rts t h v;
+                 rtss.(h) <- max rtss.(h) v;
+                 true
+             | 4 -> aliased t h ~addr:v = (addrs.(h) <> 0 && addrs.(h) <> v)
+             | _ -> true)
+             && reads_match h
+             (* the neighbouring lines, in this stripe and the next *)
+             && reads_match (index_of t (addr + 64))
+             && reads_match (index_of t (addr + (64 lsl bits))))
+           ops
+      && reads_match 0
+      && reads_match (n - 1))
+
 (* The aliasing counter separates data conflicts from table-geometry
    conflicts: contention on one word is a real conflict and must not
    count, while contention between disjoint words that wrap onto the
@@ -1456,6 +1528,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_lock_acquire_reentrant;
           QCheck_alcotest.to_alcotest prop_lock_release_versioned;
           QCheck_alcotest.to_alcotest prop_lock_striping_geometry;
+          QCheck_alcotest.to_alcotest prop_lock_table_matches_flat_model;
           Alcotest.test_case "false conflict counter" `Quick
             test_false_conflict_counter;
         ] );

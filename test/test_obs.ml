@@ -58,6 +58,36 @@ let test_histogram_small_exact () =
   Alcotest.(check int) "p100" 100 (Obs.Metrics.percentile h 100.0);
   Alcotest.(check (float 1e-9)) "mean" 50.5 (Obs.Metrics.hmean h)
 
+(* Buckets are allocated on demand, up to the highest one recorded.
+   Recording the same samples smallest-first (many growth steps) or
+   largest-first (one) must give the same histogram, and a reset one
+   must read like a fresh one. *)
+let test_histogram_growth_invisible () =
+  let rng = Random.State.make [| 0x6a0 |] in
+  let samples =
+    Array.init 2000 (fun _ ->
+        Random.State.full_int rng (1 lsl (1 + Random.State.int rng 40)))
+  in
+  let ascending = Array.copy samples in
+  Array.sort compare ascending;
+  let descending = Array.of_list (List.rev (Array.to_list ascending)) in
+  let registry order =
+    let m = Obs.Metrics.create () in
+    let h = Obs.Metrics.histogram m "lat_ns" in
+    Array.iter (Obs.Metrics.record h) order;
+    (m, h)
+  in
+  let m_up, h_up = registry ascending and m_down, _ = registry descending in
+  let m_fresh, h_fresh = registry [| 7; 300; 5_000_000 |] in
+  Alcotest.(check int) "full range reported" (55 * 512)
+    (Obs.Metrics.nbuckets h_fresh);
+  Alcotest.(check string) "growth order invisible in json"
+    (Obs.Metrics.to_json m_up) (Obs.Metrics.to_json m_down);
+  Obs.Metrics.hreset h_up;
+  Array.iter (Obs.Metrics.record h_up) [| 7; 300; 5_000_000 |];
+  Alcotest.(check string) "reset reads like fresh" (Obs.Metrics.to_json m_fresh)
+    (Obs.Metrics.to_json m_up)
+
 let test_counters () =
   let m = Obs.Metrics.create () in
   let c = Obs.Metrics.counter m "a.b" in
@@ -681,6 +711,8 @@ let () =
             test_histogram_oracle;
           Alcotest.test_case "small values exact" `Quick
             test_histogram_small_exact;
+          Alcotest.test_case "buckets grow invisibly" `Quick
+            test_histogram_growth_invisible;
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "snapshot and json export" `Quick
             test_snapshot_json;

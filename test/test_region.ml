@@ -21,6 +21,82 @@ let with_tmpdir f =
 let machine ?(nframes = 256) () = Scm.Env.make_machine ~seed:11 ~nframes ()
 
 (* ------------------------------------------------------------------ *)
+(* Backing store *)
+
+let page_of_char c = Bytes.make 4096 c
+
+(* A page read into a buffer holding garbage, so zero-filling shows. *)
+let read_back b inode page_off =
+  let buf = Bytes.make 4096 '?' in
+  Region.Backing_store.read_page b inode page_off buf;
+  buf
+
+let check_page msg c actual =
+  Alcotest.(check bool) msg true (Bytes.equal (page_of_char c) actual)
+
+let test_backing_write_past_eof () =
+  with_tmpdir (fun dir ->
+      let module B = Region.Backing_store in
+      let b = B.open_dir dir in
+      let inode = B.create_file b () in
+      check_page "empty file reads zeros" '\000' (read_back b inode 0);
+      B.write_page b inode 3 (page_of_char 'c');
+      check_page "hole before the write" '\000' (read_back b inode 0);
+      check_page "last hole page" '\000' (read_back b inode 2);
+      check_page "written page" 'c' (read_back b inode 3);
+      check_page "past the new end" '\000' (read_back b inode 4);
+      B.write_page b inode 1 (page_of_char 'a');
+      check_page "inner write" 'a' (read_back b inode 1);
+      check_page "inner write keeps the end" 'c' (read_back b inode 3))
+
+let test_backing_delete_then_recreate () =
+  with_tmpdir (fun dir ->
+      let module B = Region.Backing_store in
+      let b = B.open_dir dir in
+      let inode = B.create_file b () in
+      B.write_page b inode 0 (page_of_char 'a');
+      B.delete_file b inode;
+      Alcotest.(check bool) "deleted" false (B.file_exists b inode);
+      Alcotest.(check (list int)) "not listed" [] (B.list_inodes b);
+      check_page "deleted file reads zeros" '\000' (read_back b inode 0);
+      let inode' = B.create_file b () in
+      Alcotest.(check bool) "fresh inode" true (inode' <> inode);
+      Alcotest.(check bool) "recreated" true (B.file_exists b inode');
+      check_page "new file starts empty" '\000' (read_back b inode' 0);
+      B.write_page b inode' 0 (page_of_char 'b');
+      check_page "new file written" 'b' (read_back b inode' 0);
+      check_page "old inode stays gone" '\000' (read_back b inode 0))
+
+let test_backing_reopen_existing () =
+  with_tmpdir (fun dir ->
+      let module B = Region.Backing_store in
+      let b = B.open_dir dir in
+      let named = B.create_file b ~name:"static" () in
+      B.write_page b named 0 (page_of_char 's');
+      B.write_page b named 2 (page_of_char 't');
+      let empty = B.create_file b () in
+      let gone = B.create_file b () in
+      B.write_page b gone 0 (page_of_char 'g');
+      B.delete_file b gone;
+      B.sync b;
+      let b' = B.open_dir dir in
+      Alcotest.(check (option int)) "name survives" (Some named)
+        (B.find b' "static");
+      Alcotest.(check (list int)) "files found on open" [ named; empty ]
+        (B.list_inodes b');
+      Alcotest.(check bool) "deleted stays deleted" false
+        (B.file_exists b' gone);
+      check_page "page 0" 's' (read_back b' named 0);
+      check_page "hole" '\000' (read_back b' named 1);
+      check_page "page 2" 't' (read_back b' named 2);
+      check_page "past the end" '\000' (read_back b' named 3);
+      check_page "empty file" '\000' (read_back b' empty 0);
+      B.write_page b' empty 1 (page_of_char 'e');
+      check_page "extended after reopen" 'e' (read_back b' empty 1);
+      Alcotest.(check bool) "fresh inodes continue" true
+        (B.create_file b' () > gone))
+
+(* ------------------------------------------------------------------ *)
 (* Mapping table *)
 
 let test_mapping_table_format_and_get () =
@@ -527,6 +603,15 @@ let () =
             test_mapping_table_format_and_get;
           Alcotest.test_case "durable update" `Quick
             test_mapping_table_durable_update;
+        ] );
+      ( "backing-store",
+        [
+          Alcotest.test_case "write past end of file" `Quick
+            test_backing_write_past_eof;
+          Alcotest.test_case "delete then recreate" `Quick
+            test_backing_delete_then_recreate;
+          Alcotest.test_case "reopen over existing files" `Quick
+            test_backing_reopen_existing;
         ] );
       ( "manager",
         [

@@ -450,6 +450,194 @@ let test_device_journal_nested_marks () =
   Scm_device.journal_stop dev
 
 (* ------------------------------------------------------------------ *)
+(* Copy-on-write frames and sparse images *)
+
+(* Every byte of [dev], read as one span across all its frames. *)
+let device_bytes dev =
+  let b = Bytes.create (Scm_device.size_bytes dev) in
+  Scm_device.read_into dev 0 b 0 (Bytes.length b);
+  b
+
+let check_bytes msg expected actual =
+  if not (Bytes.equal expected actual) then Alcotest.failf "%s: bytes differ" msg
+
+(* Word stores, byte spans (which may cross frames) and whole-frame
+   zero writes (which hand a frame back to the shared zero frame),
+   against a flat reference arena and per-frame wear counters, with
+   frame sizes that are and are not powers of two.  Copies taken along
+   the way are written to as well: neither side's later writes may
+   reach the other, nor the zero frame they share. *)
+let prop_device_matches_flat_arena =
+  QCheck.Test.make ~name:"device frames match a flat arena" ~count:150
+    QCheck.(
+      pair (int_bound 2)
+        (list_of_size Gen.(1 -- 60)
+           (triple (int_bound 3) (int_bound 100_000) (int_bound 300))))
+    (fun (g, ops) ->
+      let frame_size = [| 24; 1000; 4096 |].(g) in
+      let nframes = max 3 (12288 / frame_size) in
+      let size = nframes * frame_size in
+      let dev = Scm_device.create ~frame_size ~nframes () in
+      let arena = Bytes.make size '\000' in
+      let wear = Array.make nframes 0 in
+      let copies = ref [] in
+      let write addr src =
+        Scm_device.write_from dev addr src 0 (Bytes.length src);
+        Bytes.blit src 0 arena addr (Bytes.length src);
+        if Bytes.length src > 0 then
+          wear.(addr / frame_size) <- wear.(addr / frame_size) + 1
+      in
+      List.iter
+        (fun (op, a, len) ->
+          match op with
+          | 0 ->
+              let addr = a mod (size / 8) * 8 in
+              let v = Int64.of_int ((a * 7919) + len + 1) in
+              Scm_device.store64 dev addr v;
+              Bytes.set_int64_le arena addr v;
+              wear.(addr / frame_size) <- wear.(addr / frame_size) + 1
+          | 1 ->
+              let len = min len size in
+              let addr = a mod (size - len + 1) in
+              write addr (Bytes.init len (fun i -> Char.chr ((a + i) land 255)))
+          | 2 ->
+              let f = a mod nframes in
+              write (f * frame_size) (Bytes.make frame_size '\000')
+          | _ ->
+              let c = Scm_device.copy dev and c_arena = Bytes.copy arena in
+              let addr = a mod (size / 8) * 8 in
+              Scm_device.store64 c addr (-1L);
+              Bytes.set_int64_le c_arena addr (-1L);
+              copies := (c, c_arena) :: !copies)
+        ops;
+      let words_match d expect =
+        let ok = ref true in
+        for i = 0 to (size / 8) - 1 do
+          if Scm_device.load64 d (i * 8) <> Bytes.get_int64_le expect (i * 8)
+          then ok := false
+        done;
+        !ok
+      in
+      Bytes.equal (device_bytes dev) arena
+      && words_match dev arena
+      && Array.for_all2 ( = ) wear
+           (Array.init nframes (Scm_device.write_count dev))
+      && Scm_device.total_writes dev = Array.fold_left ( + ) 0 wear
+      && List.for_all
+           (fun (c, c_arena) -> Bytes.equal (device_bytes c) c_arena)
+           !copies)
+
+(* A copy shares its source's untouched frames: a write to the copy
+   gives the copy its own frame and never reaches the shared zero
+   frame, so the source and any later copy still read zeros there. *)
+let test_device_copy_isolation () =
+  let dev = Scm_device.create ~nframes:3 () in
+  Scm_device.store64 dev 0 1L;
+  let c = Scm_device.copy dev in
+  Scm_device.store64 c 4096 2L;
+  Scm_device.write_from c 8000 (Bytes.make 300 '\xff') 0 300;
+  Scm_device.store64 c 0 3L;
+  Alcotest.(check int64) "source keeps its word" 1L (Scm_device.load64 dev 0);
+  Alcotest.(check int64) "copy has its own" 3L (Scm_device.load64 c 0);
+  let zeros = Bytes.make 4096 '\000' in
+  let page d f =
+    let b = Bytes.create 4096 in
+    Scm_device.read_into d (f * 4096) b 0 4096;
+    b
+  in
+  check_bytes "source frame 1 untouched" zeros (page dev 1);
+  check_bytes "source frame 2 untouched" zeros (page dev 2);
+  let c2 = Scm_device.copy dev in
+  check_bytes "later copy frame 1 untouched" zeros (page c2 1);
+  check_bytes "later copy frame 2 untouched" zeros (page c2 2);
+  Alcotest.(check int) "wear is per device" 1 (Scm_device.total_writes dev);
+  Alcotest.(check int) "copy wear" 4 (Scm_device.total_writes c)
+
+(* Undo over frames that were untouched at the mark, including a span
+   across two of them and a zero page written over a materialized
+   frame, restores contents and wear exactly. *)
+let test_device_journal_untouched_frames () =
+  let dev = Scm_device.create ~nframes:4 () in
+  Scm_device.store64 dev 4096 5L;
+  Scm_device.journal_start dev;
+  let mark = Scm_device.journal_mark dev in
+  let before = device_bytes dev in
+  Scm_device.store64 dev 8 1L;
+  Scm_device.write_from dev ((3 * 4096) - 100) (Bytes.make 200 '\x5a') 0 200;
+  Scm_device.write_from dev 4096 (Bytes.make 4096 '\000') 0 4096;
+  Alcotest.(check int64) "zero page landed" 0L (Scm_device.load64 dev 4096);
+  Alcotest.(check int64) "span crossed into frame 3" 0x5a5a5a5a5a5a5a5aL
+    (Scm_device.load64 dev (3 * 4096));
+  Scm_device.journal_undo_to dev mark;
+  check_bytes "contents restored" before (device_bytes dev);
+  Alcotest.(check int64) "written frame restored" 5L
+    (Scm_device.load64 dev 4096);
+  Alcotest.(check int) "wear restored" 1 (Scm_device.total_writes dev);
+  Alcotest.(check int) "span wear undone" 0 (Scm_device.write_count dev 2);
+  Scm_device.journal_stop dev
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* What a dense dump of the whole arena writes: the header, then every
+   byte of every frame. *)
+let dense_image dev =
+  let b = Buffer.create (Scm_device.size_bytes dev + 16) in
+  Buffer.add_string b "MNEMSCM1";
+  Buffer.add_int32_be b (Int32.of_int (Scm_device.frame_size dev));
+  Buffer.add_int32_be b (Int32.of_int (Scm_device.nframes dev));
+  Buffer.add_bytes b (device_bytes dev);
+  Buffer.contents b
+
+(* The sparse image skips untouched frames but is byte-for-byte the
+   dense dump, whether the trailing frames are touched or not, and
+   loads back to the same contents. *)
+let test_device_sparse_image () =
+  let cases =
+    [
+      ("untouched", Scm_device.create ~nframes:4 (), fun _ -> ());
+      ( "last frame written",
+        Scm_device.create ~nframes:4 (),
+        fun d -> Scm_device.store64 d ((4 * 4096) - 8) 9L );
+      ( "middle frames only",
+        Scm_device.create ~nframes:5 (),
+        fun d -> Scm_device.write_from d 6000 (Bytes.make 5000 'x') 0 5000 );
+      ( "frame size 1000",
+        Scm_device.create ~frame_size:1000 ~nframes:7 (),
+        fun d ->
+          Scm_device.store64 d 0 1L;
+          Scm_device.write_from d 2990 (Bytes.make 30 'y') 0 30 );
+      ( "zeroed back",
+        Scm_device.create ~nframes:3 (),
+        fun d ->
+          Scm_device.store64 d 4096 1L;
+          Scm_device.write_from d 4096 (Bytes.make 4096 '\000') 0 4096 );
+    ]
+  in
+  List.iter
+    (fun (name, dev, fill) ->
+      fill dev;
+      let path = Filename.temp_file "scm" ".img" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Scm_device.save_image dev path;
+          let img = read_file path in
+          Alcotest.(check int) (name ^ ": full length")
+            (16 + Scm_device.size_bytes dev) (String.length img);
+          Alcotest.(check bool) (name ^ ": equals the dense dump") true
+            (String.equal img (dense_image dev));
+          let dev' = Scm_device.load_image path in
+          Alcotest.(check int) (name ^ ": frame size")
+            (Scm_device.frame_size dev) (Scm_device.frame_size dev');
+          check_bytes (name ^ ": round trip") (device_bytes dev)
+            (device_bytes dev');
+          (* a reloaded image saves back to the same file *)
+          Scm_device.save_image dev' path;
+          Alcotest.(check bool) (name ^ ": stable") true
+            (String.equal img (read_file path))))
+    cases
+
+(* ------------------------------------------------------------------ *)
 (* Word helpers *)
 
 let test_word_bits () =
@@ -533,6 +721,8 @@ let () =
           Alcotest.test_case "wear counters" `Quick test_device_wear_counters;
           Alcotest.test_case "image roundtrip" `Quick
             test_device_image_roundtrip;
+          Alcotest.test_case "copy isolation" `Quick test_device_copy_isolation;
+          Alcotest.test_case "sparse image" `Quick test_device_sparse_image;
         ] );
       ( "cache",
         [
@@ -553,6 +743,8 @@ let () =
             test_device_journal_restores_snapshot;
           Alcotest.test_case "nested marks" `Quick
             test_device_journal_nested_marks;
+          Alcotest.test_case "undo over untouched frames" `Quick
+            test_device_journal_untouched_frames;
         ] );
       ( "wc-buffer",
         [
@@ -601,5 +793,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_cache_coherence;
           QCheck_alcotest.to_alcotest prop_crash_word_atomicity;
+          QCheck_alcotest.to_alcotest prop_device_matches_flat_arena;
         ] );
     ]
