@@ -1664,19 +1664,17 @@ let serve_base_cfg =
 
 let run_serve name admission =
   let dir = fresh_dir ("serve-" ^ name) in
-  let st =
-    Serve.run ~sim:(bench_sim ()) ~geometry ~dir
-      { serve_base_cfg with admission }
-  in
+  let sim = bench_sim () in
+  let st = Serve.run ~sim ~geometry ~dir { serve_base_cfg with admission } in
   rm_rf dir;
-  st
+  (st, sim)
 
 let serve_bench () =
   Workload.Report.section "serve_bench"
     "multi-tenant KV serving under open-loop bursts: admission control vs \
      the legacy log-full stall";
-  let legacy = run_serve "legacy" Serve.Admission.legacy in
-  let admit = run_serve "admission" Serve.Admission.default in
+  let legacy, legacy_sim = run_serve "legacy" Serve.Admission.legacy in
+  let admit, admit_sim = run_serve "admission" Serve.Admission.default in
   let row name (st : Serve.stats) =
     [
       name;
@@ -1725,6 +1723,12 @@ let serve_bench () =
       ("legacy_slo_ok", f legacy.Serve.slo_ok);
       ("legacy_window_ns", f legacy.Serve.window_ns);
       ("admission_window_ns", f admit.Serve.window_ns);
+      (* simulator dispatch: events run off the queue, and delays that
+         continued inline because nothing was due first *)
+      ("admission_sim_events", f (Sim.events admit_sim));
+      ("legacy_sim_events", f (Sim.events legacy_sim));
+      ("admission_sim_inline_delays", f (Sim.inline_delays admit_sim));
+      ("legacy_sim_inline_delays", f (Sim.inline_delays legacy_sim));
     ];
   Workload.Report.note
     (Printf.sprintf

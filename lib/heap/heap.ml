@@ -103,6 +103,8 @@ let attach v ~base =
       };
   }
 
+exception Out_of_superblocks = Hoard.Out_of_superblocks
+
 let set_exclusion t f = t.exclusion <- f
 let reincarnation t = t.reincarnation
 let base t = t.base

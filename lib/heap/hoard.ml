@@ -158,6 +158,8 @@ let assign_superblock t ci arena bsize =
       t.avail.(ci).(arena) <- sb :: t.avail.(ci).(arena);
       Some sb
 
+exception Out_of_superblocks
+
 let reserve ?(arena = 0) t size =
   let bsize = class_of size in
   let ci = class_index bsize in
@@ -174,8 +176,7 @@ let reserve ?(arena = 0) t size =
         | Some sb -> sb
         | None -> (
             let rec steal a =
-              if a >= narenas then
-                failwith "Hoard.alloc: out of superblocks"
+              if a >= narenas then raise Out_of_superblocks
               else
                 match in_arena a with
                 | Some sb -> sb

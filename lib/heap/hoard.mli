@@ -56,12 +56,17 @@ val narenas : int
     arenas, and each thread allocates from its own, so concurrent
     transactions do not conflict on shared bitmap words. *)
 
+exception Out_of_superblocks
+(** Every superblock is assigned and none of the requested class has a
+    free block.  Raised before anything is reserved or written, so the
+    caller's state is as before the call. *)
+
 val reserve : ?arena:int -> t -> int -> reservation
 (** Pick a free block of the class for the size; volatile only.
     [arena] (default 0, taken modulo {!narenas}) selects the preferred
     arena — pass the thread id.  Falls back to a fresh superblock, then
-    to stealing from other arenas.  Raises [Failure] when no superblock
-    can serve the class. *)
+    to stealing from other arenas.  Raises {!Out_of_superblocks} when
+    no superblock can serve the class. *)
 
 val finalize : t -> reservation -> unit
 (** The reservation's writes were durably committed. *)

@@ -169,7 +169,10 @@ val alloc : t -> int -> slot:int -> int
     pointer-slot writes through this transaction, so the allocation
     commits or aborts with it.  Sizes above {!Pmheap.Heap.small_limit}
     fall back to an immediate raw allocation compensated on abort.
-    Requires the pool to have a heap. *)
+    Requires the pool to have a heap.  When the heap is exhausted it
+    raises {!Pmheap.Heap.Out_of_superblocks}, which aborts the
+    transaction cleanly (its locks, reservations and raw allocations
+    are released) and escapes {!run} unretried. *)
 
 val free : t -> slot:int -> unit
 (** Transactional [pfree] of the block the slot points at; clears the

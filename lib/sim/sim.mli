@@ -5,14 +5,25 @@
     each memory primitive charges simulated nanoseconds through
     {!delay}, and shared resources ({!Mutex_r}, {!Cond_r}) serialize
     processes exactly where a real lock would.  Because every memory
-    operation is a yield point, transactional conflicts and queueing on
-    Berkeley DB's central log buffer arise from genuine interleavings —
-    deterministically, from a seeded schedule.
+    operation is a potential yield point, transactional conflicts and
+    queueing on Berkeley DB's central log buffer arise from genuine
+    interleavings — deterministically, from a seeded schedule.
 
-    Processes are implemented with OCaml 5 effects: [delay] and blocking
-    operations perform an effect captured by the scheduler, which
-    resumes the continuation when the simulated clock reaches the wake
-    time.
+    Processes are implemented with OCaml 5 effects: blocking operations
+    and a [delay] that must wait perform an effect captured by the
+    scheduler, which resumes the continuation when the simulated clock
+    reaches the wake time.
+
+    Run-ahead dispatch: a [delay] draws its wake-up entry
+    [(time, key, seq)] exactly as a queued event would.  When that
+    entry orders strictly before every queued event (and within
+    {!run}'s [until] bound), queuing it would only have {!run} pop it
+    straight back, with the same clock, the same {!current_proc} and
+    the same continuation, and nothing observable in between.  So the
+    process continues inline: the clock advances and [delay] returns,
+    with no effect, no push and no pop.  Schedule decisions are drawn
+    at the same points in the same order, so every simulated figure,
+    trace and replay is the same as queueing every delay.
 
     Events that fall due at the same simulated instant are ordered by a
     pluggable {!Schedule} policy.  The default ({!Schedule.Fifo}) runs
@@ -97,6 +108,13 @@ module Schedule : sig
 
   val meta : t -> string -> string option
 
+  val next_key : t -> proc:int -> int
+  (** The tiebreak key for the next event [proc] queues: 0 under
+      [Fifo]; otherwise drawn (and recorded) or replayed, which counts
+      as one decision and calls the observer.  The simulator calls it
+      once per scheduled event and once per {!Sim.delay}; exposed for
+      reference schedulers in tests. *)
+
   val set_observer : t -> (index:int -> key:int -> unit) option -> unit
   (** Called on every tiebreak decision (recording and replay) with its
       index and chosen key; [sched_explore] feeds these to the
@@ -126,6 +144,15 @@ val current_proc : t -> int
     (before {!run}, and between/after runs).  This is the fiber id the
     race detector attributes accesses to. *)
 
+val events : t -> int
+(** Events popped off the queue and run so far: process starts,
+    resumptions and the delays that had to wait. *)
+
+val inline_delays : t -> int
+(** Delays that continued inline because nothing was due first (see
+    the run-ahead note above).  [events + inline_delays] is the number
+    of events a queue-every-delay scheduler would have run. *)
+
 val set_race : t -> Race_api.hooks option -> unit
 (** Install (or remove) happens-before race-detection hooks
     (DESIGN.md section 18).  When installed, the simulator fires
@@ -147,7 +174,11 @@ val spawn_at : ?name:string -> t -> int -> (unit -> unit) -> unit
 
 val delay : t -> int -> unit
 (** Advance this process's clock by [ns], yielding to any process
-    scheduled earlier.  Must be called from inside a process. *)
+    scheduled earlier.  A potential yield point: when nothing is due
+    first the process continues inline (see the run-ahead note above),
+    which no other process can tell apart from a round trip through
+    the event queue.  Must be called from inside a process; outside
+    one it raises [Effect.Unhandled] and draws no decision. *)
 
 val yield : t -> unit
 (** [delay t 0]: give same-time processes a chance to run. *)
@@ -162,7 +193,8 @@ val suspend : t -> ((unit -> unit) -> unit) -> unit
 val run : ?until:int -> t -> unit
 (** Execute events until the queue is empty (or simulated time would
     exceed [until]).  Re-entrant with respect to [spawn]: processes may
-    spawn more processes. *)
+    spawn more processes.  However it ends, a process's exception
+    included, {!current_proc} reads [-1] afterwards. *)
 
 val processes_run : t -> int
 (** Number of process bodies started so far (for tests). *)
@@ -171,6 +203,32 @@ exception Deadlock of string
 (** Raised by {!run} when processes remain suspended with no pending
     events — every remaining process is blocked on a resource that
     nobody will release. *)
+
+(** The event queue: a binary min-heap ordered by [(time, key, seq)],
+    stored as one array per field so that push and pop allocate
+    nothing.  Exposed for its model test. *)
+module Heap : sig
+  type t
+
+  val create : unit -> t
+  val size : t -> int
+
+  val push :
+    t -> time:int -> key:int -> seq:int -> proc:int -> (unit -> unit) -> unit
+
+  val first : t -> time:int -> key:int -> seq:int -> bool
+  (** Whether [(time, key, seq)] orders before every queued entry. *)
+
+  val pop : t -> bool
+  (** Remove the least entry and leave it in the [top_*] accessors;
+      [false] when empty. *)
+
+  val top_time : t -> int
+  val top_key : t -> int
+  val top_seq : t -> int
+  val top_proc : t -> int
+  val top_thunk : t -> unit -> unit
+end
 
 (** FIFO mutex: the model for any serialized software resource (Berkeley
     DB's centralized log buffer, a page latch).  Lock acquisitions are

@@ -8,12 +8,14 @@ let with_tmpdir f =
   Sys.mkdir dir 0o755;
   Fun.protect
     ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun name -> Sys.remove (Filename.concat dir name))
-          (Sys.readdir dir);
-        Sys.rmdir dir
-      end)
+      let rec rm p =
+        if Sys.is_directory p then begin
+          Array.iter (fun n -> rm (Filename.concat p n)) (Sys.readdir p);
+          Sys.rmdir p
+        end
+        else Sys.remove p
+      in
+      if Sys.file_exists dir then rm dir)
     (fun () -> f dir)
 
 let small_cfg =
@@ -312,6 +314,64 @@ let test_alloc_aborts_with_txn () =
          allocation works and the heap is consistent *)
       let a = Pmheap.Heap.pmalloc heap' 64 ~slot:slot' in
       Alcotest.(check bool) "clean state" true (a > 0))
+
+(* Heap exhaustion is a typed error, not a crash: a transaction that
+   allocates past the last superblock raises [Out_of_superblocks],
+   releases its locks and reservations, and leaves an instance the next
+   transaction (on another thread) commits to and pmfsck finds clean. *)
+let test_alloc_past_last_superblock () =
+  with_tmpdir (fun dir ->
+      let geometry =
+        { Mnemosyne.default_geometry with scm_frames = 2048; heap_superblocks = 8 }
+      in
+      let inst = Mnemosyne.open_instance ~geometry ~dir () in
+      let v = Mnemosyne.view inst in
+      (* the largest class fits one block per superblock *)
+      let size = Pmheap.Heap.small_limit in
+      let roots = Mnemosyne.pstatic inst "exhaust.roots" (8 * 16) in
+      let data = Mnemosyne.pstatic inst "exhaust.data" 8 in
+      let root i = roots + (8 * i) in
+      let filled = ref 0 in
+      (try
+         while true do
+           ignore
+             (Mnemosyne.atomically inst (fun tx ->
+                  Mtm.Txn.alloc tx size ~slot:(root !filled)));
+           incr filled
+         done
+       with Pmheap.Heap.Out_of_superblocks -> ());
+      Alcotest.(check bool) "the heap filled up" true
+        (!filled > 0 && !filled <= 8);
+      (* one free block: the failing transaction reserves it, then runs
+         out on its second allocation *)
+      Mnemosyne.atomically inst (fun tx -> Mtm.Txn.free tx ~slot:(root 0));
+      (match
+         Mnemosyne.atomically inst (fun tx ->
+             Mtm.Txn.store tx data 1L;
+             ignore (Mtm.Txn.alloc tx size ~slot:(root 0));
+             ignore (Mtm.Txn.alloc tx size ~slot:(root !filled)))
+       with
+      | () -> Alcotest.fail "allocating past the last superblock succeeded"
+      | exception Pmheap.Heap.Out_of_superblocks -> ());
+      Alcotest.(check int64) "store rolled back" 0L (Region.Pmem.load v data);
+      Alcotest.(check int64) "slot rolled back" 0L
+        (Region.Pmem.load v (root 0));
+      (* another thread takes the same lock and the same block: both
+         were released *)
+      let th = Mnemosyne.thread inst 1 v.Region.Pmem.env in
+      let addr =
+        Mtm.Txn.run th (fun tx ->
+            Mtm.Txn.store tx data 2L;
+            Mtm.Txn.alloc tx size ~slot:(root 0))
+      in
+      Alcotest.(check int64) "next transaction committed" 2L
+        (Region.Pmem.load v data);
+      Alcotest.(check int64) "with the released block" (Int64.of_int addr)
+        (Region.Pmem.load v (root 0));
+      let r = Check.Pmfsck.run v in
+      if not (Check.Pmfsck.ok r) then
+        Alcotest.failf "pmfsck not clean:\n%s" (Check.Pmfsck.render r);
+      Mnemosyne.close inst)
 
 let test_free_in_txn () =
   with_tmpdir (fun dir ->
@@ -1472,6 +1532,8 @@ let () =
         [
           Alcotest.test_case "alloc commits with txn" `Quick
             test_alloc_commits_with_txn;
+          Alcotest.test_case "alloc past the last superblock" `Quick
+            test_alloc_past_last_superblock;
           Alcotest.test_case "alloc aborts with txn" `Quick
             test_alloc_aborts_with_txn;
           Alcotest.test_case "free in txn" `Quick test_free_in_txn;

@@ -91,7 +91,22 @@ let test_replay_roundtrip_with_aborts () =
    records), the second the cross-log coverage false positive in the
    sanitizer's truncation rule at a lease-refill boundary.  Their
    headers carry lease/stripes/group_commit/pmcheck, so the replay
-   re-runs the scalable configuration sanitized. *)
+   re-runs the scalable configuration sanitized.
+
+   Each replay's figures are pinned too: commits, simulated ns,
+   decisions and rng draws consumed, and how far the replay diverged
+   ([replay_extra], [replay_leftover]).  Serializability alone would
+   not notice a dispatch change that shifts which event consumes which
+   recorded decision; these figures do. *)
+let pinned_replays =
+  (* file, [commits; sim_ns; decisions; rng_draws; extra; leftover] *)
+  [
+    ("group-commit-attach-trunc-fifo-seed0.trace", [ 25; 266643; 0; 52; 0; 19 ]);
+    ("lease-crosslog-cover-shuffle-seed0.trace", [ 25; 245270; 764; 45; 0; 12 ]);
+    ("pipeline-release-window-shuffle-seed0.trace", [ 25; 243337; 761; 25; 0; 0 ]);
+    ("validate-before-cts-shuffle-seed124.trace", [ 25; 245550; 960; 58; 437; 0 ]);
+  ]
+
 let test_regression_traces () =
   (* cwd is test/ under [dune runtest], the project root under
      [dune exec] *)
@@ -114,7 +129,23 @@ let test_regression_traces () =
       with_tmpdir (fun tmp ->
           let cfg = H.cfg_of_schedule ~dir:tmp sched in
           let o = H.run ~schedule:sched cfg in
-          check_serializable file o))
+          check_serializable file o;
+          match List.assoc_opt file pinned_replays with
+          | None -> Alcotest.failf "%s: no pinned replay figures" file
+          | Some pinned ->
+              Alcotest.(check (list int))
+                (file
+               ^ ": commits, sim_ns, decisions, rng draws, replay extra, \
+                  leftover")
+                pinned
+                [
+                  o.H.commits;
+                  o.H.sim_ns;
+                  Sim.Schedule.decisions o.H.schedule;
+                  Sim.Schedule.rng_draws o.H.schedule;
+                  o.H.replay_extra;
+                  o.H.replay_leftover;
+                ]))
     traces
 
 (* ------------------------------------------------------------------ *)
