@@ -27,6 +27,7 @@
      crash_explore [--txns T] [--seed S] [--dir D]
                    [--from A] [--to B] [--stride N] [--max-points M]
                    [--at K [--second-at J]] [--second N] [--fresh]
+                   [--config default|scalable|pipeline] [--serving]
                    [--count-only] [--verbose]
 *)
 
@@ -189,6 +190,7 @@ type cfg = {
   fsck : bool;  (* pmfsck every post-recovery image *)
   pmcheck : bool;  (* durability sanitizer under every phase *)
   serving : bool;  (* serving workload: admission-shed + cancelled txns *)
+  config : string;  (* commit configuration, as named by --config *)
 }
 
 let setup_dir cfg = Filename.concat cfg.base "setup"
@@ -337,10 +339,11 @@ let fresh_point_state cfg ~work ~mark0 =
 type failure = { op : int; second : int option; msg : string }
 
 let replay_hint cfg f =
-  Printf.sprintf "crash_explore --seed %d --txns %d%s%s --at %d%s --dir %s"
+  Printf.sprintf "crash_explore --seed %d --txns %d%s%s%s --at %d%s --dir %s"
     cfg.seed cfg.txns
     (if cfg.fresh then " --fresh" else "")
     (if cfg.serving then " --serving" else "")
+    (if cfg.config = "default" then "" else " --config " ^ cfg.config)
     f.op
     (match f.second with Some j -> Printf.sprintf " --second-at %d" j | None -> "")
     (Filename.quote cfg.base)
@@ -588,8 +591,35 @@ let write_report cfg ~path ~points ~failures =
         failures;
       output_string oc "]}\n")
 
+(* The commit configurations a sweep can run under.  [scalable] is
+   scale_bench's scalable arm: timestamp leases of 32, 8 lock stripes,
+   group commit and 32-deep truncation batches.  [pipeline] adds the
+   pipelined commit and the adaptive contention manager; with one
+   thread and no drainer daemon, producers retire their own queues
+   (the self-drain fallback). *)
+let commit_config name (base : Mtm.Txn.config) =
+  let scalable =
+    {
+      base with
+      Mtm.Txn.ts_lease = 32;
+      lock_stripes = 8;
+      group_commit = true;
+      gc_trunc_batch = 32;
+    }
+  in
+  match name with
+  | "scalable" -> scalable
+  | "pipeline" -> { scalable with pipeline = true; cm = Mtm.Txn.Cm_adaptive }
+  | _ -> base
+
 let run txns seed dir from_ to_ stride max_points at second_at second fresh
-    serving count_only verbose fsck pmcheck report =
+    serving config count_only verbose fsck pmcheck report =
+  if serving && config <> "default" then begin
+    (* the serving workload runs under eager undo, which neither group
+       commit nor the pipeline supports *)
+    Printf.eprintf "crash_explore: --serving requires --config default\n";
+    exit 2
+  end;
   let geometry =
     { Mnemosyne.scm_frames = 2048; heap_superblocks = 64;
       heap_large_bytes = 256 * 1024 }
@@ -601,13 +631,14 @@ let run txns seed dir from_ to_ stride max_points at second_at second fresh
      (the in-place write and its undo record) that the cancel must
      retract — the non-trivial half of the zero-side-effect claim. *)
   let mtm =
-    {
-      Mtm.Txn.default_config with
-      nthreads = 1;
-      log_cap_words = 8192;
-      version_mgmt =
-        (if serving then Mtm.Txn.Eager_undo else Mtm.Txn.Lazy_redo);
-    }
+    commit_config config
+      {
+        Mtm.Txn.default_config with
+        nthreads = 1;
+        log_cap_words = 8192;
+        version_mgmt =
+          (if serving then Mtm.Txn.Eager_undo else Mtm.Txn.Lazy_redo);
+      }
   in
   let cfg =
     {
@@ -621,6 +652,7 @@ let run txns seed dir from_ to_ stride max_points at second_at second fresh
       fsck;
       pmcheck;
       serving;
+      config;
     }
   in
   ensure_dir cfg.base;
@@ -632,10 +664,12 @@ let run txns seed dir from_ to_ stride max_points at second_at second fresh
   let mark0 = Scm.Scm_device.journal_mark work in
   let open_ops, total = count_ops cfg ~work ~mark0 in
   Printf.printf
-    "crash_explore: seed %d, %d txns: %d persistence ops (%d during \
+    "crash_explore: seed %d, %d txns%s: %d persistence ops (%d during \
      open/recovery, %d in the workload)\n\
      %!"
-    seed txns total open_ops (total - open_ops);
+    seed txns
+    (if config = "default" then "" else ", config " ^ config)
+    total open_ops (total - open_ops);
   if count_only then 0
   else begin
     let points =
@@ -761,6 +795,22 @@ let serving =
            mid-flight.  The invariant then proves rejected requests \
            leave zero persistent side effects at every crash point.")
 
+let config =
+  Arg.(
+    value
+    & opt
+        (enum
+           [ ("default", "default"); ("scalable", "scalable");
+             ("pipeline", "pipeline") ])
+        "default"
+    & info [ "config" ] ~docv:"CONFIG"
+        ~doc:
+          "Commit configuration: $(b,default) (the paper's protocol), \
+           $(b,scalable) (timestamp leases of 32, 8 lock stripes, group \
+           commit, 32-deep truncation batches) or $(b,pipeline) \
+           (scalable plus the pipelined commit and the adaptive \
+           contention manager, self-draining on one thread).")
+
 let count_only =
   Arg.(
     value & flag
@@ -799,7 +849,7 @@ let cmd =
           section 6.2, exhaustively)")
     Term.(
       const run $ txns $ seed $ dir $ from_ $ to_ $ stride $ max_points $ at
-      $ second_at $ second $ fresh $ serving $ count_only $ verbose $ fsck
-      $ pmcheck $ report)
+      $ second_at $ second $ fresh $ serving $ config $ count_only $ verbose
+      $ fsck $ pmcheck $ report)
 
 let () = exit (Cmd.eval' cmd)

@@ -72,6 +72,7 @@ let used_words t =
 
 let free_words t = t.cap - 1 - used_words t
 let torn_bit_position t = t.tail_tpos
+let tail t = (t.tail_off, t.tail_parity, t.tail_tpos)
 
 let head_addr t = t.base
 let cap_addr t = t.base + 8
@@ -392,7 +393,7 @@ let advance_head_group entries =
 
 exception Scan_end
 
-let attach v ~base =
+let scan v ~base =
   let cap, rotate = unpack_cap (Pmem.load v (base + 8)) in
   if cap < 4 then failwith "Rawl.attach: no log at this address";
   register_with_pmcheck v ~base ~cap_words:cap;
@@ -402,7 +403,9 @@ let attach v ~base =
   let t =
     { v; base; cap; rotate; passes = 0; head_off; head_parity; head_tpos;
       tail_off = head_off; tail_parity = head_parity; tail_tpos = head_tpos;
-      append_ctr; trunc_ctr; owner = 0; scratch = Bytes.make 512 '\000';
+      append_ctr; trunc_ctr; owner = 0;
+      (* page-sized: {!erase_stale} reads its spans into it *)
+      scratch = Bytes.make Region.Layout.page_size '\000';
       race = None; race_head; race_tail }
   in
   register_gauges t;
@@ -468,50 +471,83 @@ let attach v ~base =
           raise Scan_end)
      done
    with Scan_end -> ());
-  (* Erase the stale suffix: words of a discarded partial append ahead
-     of the recovered tail still carry the current pass parity, and a
-     later crash could mis-parse them as a record continuation.  Rewrite
-     them as previous-pass filler so the torn-bit scan stays sound.
+  (t, List.rev !records)
 
-     The sweep must cover the ENTIRE free region, not just the
-     contiguous current-parity run at the tail: streaming stores land
-     as an arbitrary subset on a crash, so a stale word can sit beyond
-     a gap of never-written (previous-parity) words — and a crash
-     during a previous recovery's erase leaves landed filler words in
-     front of not-yet-erased stale ones.  Stopping at the first
-     mismatch would leave such words behind; once later appends fill
-     the gap with current-parity data, a subsequent recovery scan would
-     run straight into the stale word and mis-parse it as a record.
-     Sweeping every free word (rewriting only those that need it) is
-     idempotent and converges even if this erase itself crashes partway
-     through: whatever subset of the filler writes lands, the next
-     recovery sweeps the same region again. *)
-  let erase_pos = ref t.tail_off
-  and erase_parity = ref t.tail_parity
-  and erase_tpos = ref t.tail_tpos
+(* Erase the stale suffix: words of a discarded partial append ahead
+   of the recovered tail still carry the current pass parity, and a
+   later crash could mis-parse them as a record continuation.  Rewrite
+   them as previous-pass filler so the torn-bit scan stays sound.
+
+   The sweep must cover the ENTIRE free region, not just the
+   contiguous current-parity run at the tail: streaming stores land
+   as an arbitrary subset on a crash, so a stale word can sit beyond
+   a gap of never-written (previous-parity) words — and a crash
+   during a previous recovery's erase leaves landed filler words in
+   front of not-yet-erased stale ones.  Stopping at the first
+   mismatch would leave such words behind; once later appends fill
+   the gap with current-parity data, a subsequent recovery scan would
+   run straight into the stale word and mis-parse it as a record.
+   Sweeping every free word (rewriting only those that need it) is
+   idempotent and converges even if this erase itself crashes partway
+   through: whatever subset of the filler writes lands, the next
+   recovery sweeps the same region again.
+
+   The sweep reads non-temporally, so it neither evicts the working
+   set nor draws from the eviction rng, and it charges nothing.  It
+   reads the free region one span at a time (up to the next page
+   boundary or the wrap), which is [load_nt] per word at a fraction of
+   the cost.  A span is read only while the WC buffer is empty, where
+   reads have no side effects, and is used only up to its first
+   rewrite: the rewrite posts a streaming store, so the words after it
+   go one at a time, exactly like a per-word sweep, until a drain
+   empties the buffer again.  Every drain and crash-point tick
+   therefore lands at the same word as it would there. *)
+let erase_stale t =
+  let v = t.v in
+  let wc = v.Pmem.env.Scm.Env.wc in
+  let page = Region.Layout.page_size in
+  let buf = t.scratch in
+  let pos = ref t.tail_off
+  and parity = ref t.tail_parity
+  and tpos = ref t.tail_tpos
+  and left = ref (free_words t)
   and erased = ref false in
-  for _ = 1 to free_words t do
-    (* non-temporal: sweeping the whole free region must not evict the
-       working set or perturb the eviction rng *)
-    let w = Pmem.load_nt v (slot_addr t !erase_pos) in
-    let _, torn = extract_torn w !erase_tpos in
-    if torn = (!erase_parity = 1) then begin
-      let filler =
-        (* looks like the previous pass at this position *)
-        if !erase_parity = 1 then 0L else Int64.shift_left 1L !erase_tpos
-      in
-      Pmem.wtstore v (slot_addr t !erase_pos) filler;
-      erased := true
-    end;
-    incr erase_pos;
-    if !erase_pos = cap then begin
-      erase_pos := 0;
-      let parity', tpos' =
-        next_pass t ~parity:!erase_parity ~tpos:!erase_tpos
-      in
-      erase_parity := parity';
-      erase_tpos := tpos'
+  while !left > 0 do
+    let addr = slot_addr t !pos in
+    let n =
+      if Scm.Wc_buffer.is_empty wc then
+        min !left (min (t.cap - !pos) ((page - (addr land (page - 1))) / 8))
+      else 1
+    in
+    Pmem.load_nt_into v addr buf 0 n;
+    let i = ref 0 and rewrote = ref false in
+    while (not !rewrote) && !i < n do
+      (* a word carrying the current pass's torn bit is stale *)
+      let w = Bytes.get_int64_le buf (8 * !i) in
+      if Int64.to_int (Int64.shift_right_logical w !tpos) land 1 = !parity
+      then begin
+        let filler =
+          (* looks like the previous pass at this position *)
+          if !parity = 1 then 0L else Int64.shift_left 1L !tpos
+        in
+        Pmem.wtstore v (addr + (8 * !i)) filler;
+        erased := true;
+        rewrote := true
+      end;
+      incr i
+    done;
+    pos := !pos + !i;
+    left := !left - !i;
+    if !pos = t.cap then begin
+      pos := 0;
+      let parity', tpos' = next_pass t ~parity:!parity ~tpos:!tpos in
+      parity := parity';
+      tpos := tpos'
     end
   done;
-  if !erased then Pmem.fence v;
-  (t, List.rev !records)
+  if !erased then Pmem.fence v
+
+let attach v ~base =
+  let t, records = scan v ~base in
+  erase_stale t;
+  (t, records)

@@ -61,6 +61,15 @@ val attach : Region.Pmem.view -> base:int -> t * int64 array list
     tail, in order.  Incomplete trailing appends are discarded, exactly
     as the paper's recovery scan does. *)
 
+val scan : Region.Pmem.view -> base:int -> t * int64 array list
+(** The recovery scan of {!attach} alone: the same handle and records,
+    but the free region is left as found.  [attach] is [scan] followed
+    by the stale-suffix erase sweep; exposed so tests can run a
+    reference sweep over the same state. *)
+
+val tail : t -> int * int * int
+(** [(offset, pass_parity, torn_bit_position)] of the tail cursor. *)
+
 type append_result = Appended of int  (** stored-word span *) | Full
 
 val append : t -> int64 array -> append_result

@@ -16,10 +16,13 @@ type t = {
      removed. *)
   mutable memo_vpage : int;
   mutable memo_frame : int;
-  mutable peek_page : (int * int * Bytes.t) option;
-      (* (inode, page_off, contents): one-page memo for {!load_nt} reads
-         of non-resident pages.  Stale the moment the page regains and
-         then loses a frame, so the eviction hook drops it. *)
+  mutable peek_inode : int;
+  mutable peek_page_off : int;
+  peek_buf : Bytes.t;
+      (* one-page memo for {!load_nt} reads of non-resident pages:
+         [peek_buf] holds page [peek_page_off] of [peek_inode] (-1 =
+         empty).  Stale the moment the page regains and then loses a
+         frame, so the eviction hook drops it. *)
   mutable next_dyn : int;
   default_env : Scm.Env.t;
   mutable remap_ns : int;
@@ -117,13 +120,16 @@ let load v addr =
   | Some chk -> Scm.Pmcheck.check_load chk (addr land lnot 7));
   P.load v.env (translate v addr)
 
-(* Non-temporal load: must not fault pages in.  A recovery-time sweep
+(* Non-temporal loads must not fault pages in.  A recovery-time sweep
    over a whole region would otherwise pull every page of the region
    into SCM at attach time — charging page I/O and consuming frames the
    working set never asked for.  A page that is not resident has its
-   authoritative copy in the backing file, so read the word from there
-   without installing a frame. *)
-let load_nt v addr =
+   authoritative copy in the backing file, so it is read from there
+   into the peek buffer without installing a frame.
+
+   Resolves [addr]'s page for such a read: its frame when resident
+   (installing the translation), else -1 with the page in [peek_buf]. *)
+let nt_frame v addr =
   let t = v.pmem in
   if not (Layout.is_persistent addr) then
     invalid_arg (Printf.sprintf "Pmem: %#x is not a persistent address" addr);
@@ -136,19 +142,33 @@ let load_nt v addr =
       (match pmchk v with
       | None -> ()
       | Some chk -> Scm.Pmcheck.note_mapping chk ~vpage ~frame);
-      P.load_nt v.env
-        ((frame * Layout.page_size) + (addr land (Layout.page_size - 1)))
+      frame
   | None ->
-      let buf =
-        match t.peek_page with
-        | Some (i, p, b) when i = r.inode && p = page_off -> b
-        | _ ->
-            let b = Bytes.create Layout.page_size in
-            Backing_store.read_page t.backing r.inode page_off b;
-            t.peek_page <- Some (r.inode, page_off, b);
-            b
-      in
-      Scm.Word.get buf (addr land (Layout.page_size - 1))
+      if t.peek_inode <> r.inode || t.peek_page_off <> page_off then begin
+        t.peek_inode <- -1;
+        Backing_store.read_page t.backing r.inode page_off t.peek_buf;
+        t.peek_inode <- r.inode;
+        t.peek_page_off <- page_off
+      end;
+      -1
+
+let load_nt v addr =
+  let frame = nt_frame v addr in
+  let within = addr land (Layout.page_size - 1) in
+  if frame >= 0 then P.load_nt v.env ((frame * Layout.page_size) + within)
+  else Scm.Word.get v.pmem.peek_buf within
+
+let load_nt_into v addr dst off nwords =
+  let within = addr land (Layout.page_size - 1) in
+  if nwords < 0 || within + (8 * nwords) > Layout.page_size then
+    invalid_arg "Pmem.load_nt_into: span crosses a page";
+  if nwords > 0 then begin
+    let frame = nt_frame v addr in
+    if frame >= 0 then
+      P.load_nt_into v.env ((frame * Layout.page_size) + within) dst off nwords
+    else Bytes.blit v.pmem.peek_buf within dst off (8 * nwords)
+  end
+
 let store v addr x =
   (match pmchk v with
   | None -> ()
@@ -291,16 +311,17 @@ let open_instance machine backing =
       vpage_cache = Scm.Imap.Int.create ~initial:1024 ();
       memo_vpage = -1;
       memo_frame = 0;
-      peek_page = None;
+      peek_inode = -1;
+      peek_page_off = -1;
+      peek_buf = Bytes.create Layout.page_size;
       next_dyn = Layout.dynamic_base;
       default_env;
       remap_ns = 0;
     }
   in
   Manager.on_evict mgr (fun ~inode ~page_off ->
-      (match t.peek_page with
-      | Some (i, p, _) when i = inode && p = page_off -> t.peek_page <- None
-      | _ -> ());
+      if t.peek_inode = inode && t.peek_page_off = page_off then
+        t.peek_inode <- -1;
       match Hashtbl.find_opt t.by_inode inode with
       | None -> ()
       | Some r ->

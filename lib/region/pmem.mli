@@ -86,6 +86,13 @@ val load_nt : view -> int -> int64
     backing file without installing a frame.  For recovery-time sweeps
     over whole regions (see {!Scm.Primitives.load_nt}). *)
 
+val load_nt_into : view -> int -> Bytes.t -> int -> int -> unit
+(** [load_nt_into v addr dst off nwords] reads [nwords] aligned words
+    at [addr], a span within one page, into [dst] at byte offset [off]:
+    the same values and side effects as that many {!load_nt} calls in
+    address order, for one region lookup and one page resolution (see
+    {!Scm.Primitives.load_nt_into}). *)
+
 val store : view -> int -> int64 -> unit
 val wtstore : view -> int -> int64 -> unit
 val flush : view -> int -> unit

@@ -1,9 +1,11 @@
 (* Array-backed, open-addressed cache: the per-word load/store fast
-   path is a handful of array reads with zero allocation.  Lines live
-   in a linear-probing table (power-of-two size >= 2x capacity, so the
-   load factor stays under 1/2) whose entries own preallocated
-   [line_size] buffers; deletion is backward-shift, so there are no
-   tombstones and probes stay short.
+   path is a handful of array reads with zero allocation.  Line
+   addresses live in a linear-probing table (power-of-two size >= 2x
+   capacity, so the load factor stays under 1/2); deletion is
+   backward-shift, so there are no tombstones and probes stay short.
+   Line bytes live in one flat buffer of [capacity] lines indexed by
+   the line's position in [members], so the buffer is exactly the
+   modelled cache and moving a table entry moves only ints.
 
    Eviction semantics are pinned: the victim is drawn uniformly from a
    dense insertion-ordered array of resident line addresses
@@ -20,7 +22,9 @@ type t = {
   capacity : int;
   mask : int;  (* table size - 1; table size is a power of two *)
   keys : int array;  (* line base address, or -1 for an empty slot *)
-  data : Bytes.t array;  (* preallocated line buffers, one per slot *)
+  data : Bytes.t;
+      (* line bytes: the line of table slot [s] is at
+         [mslot.(s) * line_size], its position in [members] *)
   dirty : bool array;
   mslot : int array;  (* index of this entry's base in [members] *)
   rng : Random.State.t;
@@ -53,6 +57,7 @@ let create ?(line_size = 64) ?(capacity_lines = 8192) ?(seed = 0xcafe) ?obs
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let cp = match cp with Some c -> c | None -> Crashpoint.create () in
   let size = next_pow2 (2 * max 8 capacity_lines) 16 in
+  let nmembers_max = max 16 capacity_lines in
   let t =
     {
       dev;
@@ -60,7 +65,7 @@ let create ?(line_size = 64) ?(capacity_lines = 8192) ?(seed = 0xcafe) ?obs
       capacity = capacity_lines;
       mask = size - 1;
       keys = Array.make size (-1);
-      data = Array.init size (fun _ -> Bytes.create line_size);
+      data = Bytes.create (nmembers_max * line_size);
       dirty = Array.make size false;
       mslot = Array.make size 0;
       rng = Random.State.make [| seed |];
@@ -69,7 +74,7 @@ let create ?(line_size = 64) ?(capacity_lines = 8192) ?(seed = 0xcafe) ?obs
       evict_ctr = Obs.Metrics.counter obs.Obs.metrics "scm.cache.evictions";
       evictions = 0;
       pmcheck = None;
-      members = Array.make (max 16 capacity_lines) (-1);
+      members = Array.make nmembers_max (-1);
       nmembers = 0;
       cur_owner = 0;
       owner = Array.make size 0;
@@ -107,11 +112,16 @@ let[@inline] free_slot t base =
   done;
   !i
 
+(* Byte offset of [slot]'s line in [data]. *)
+let[@inline] line_off t slot = t.mslot.(slot) * t.line_size
+
 let member_add t base slot =
   t.members.(t.nmembers) <- base;
   t.mslot.(slot) <- t.nmembers;
   t.nmembers <- t.nmembers + 1
 
+(* Swap-remove: the last member, and its line bytes, move into the
+   vacated position. *)
 let member_remove t slot =
   let ms = t.mslot.(slot) in
   let last = t.nmembers - 1 in
@@ -120,13 +130,15 @@ let member_remove t slot =
   t.nmembers <- last;
   if ms <> last then begin
     let moved_slot = find_slot t moved in
-    t.mslot.(moved_slot) <- ms
+    t.mslot.(moved_slot) <- ms;
+    Bytes.blit t.data (last * t.line_size) t.data (ms * t.line_size)
+      t.line_size
   end
 
 (* Backward-shift deletion: walk the cluster after [slot], moving back
    any entry whose home position does not lie cyclically inside
-   (hole, entry].  Buffers are swapped, not copied, so every slot keeps
-   owning a spare line buffer. *)
+   (hole, entry].  The line bytes stay put: the moved entry keeps its
+   [mslot]. *)
 let table_delete t slot =
   let mask = t.mask in
   let hole = ref slot in
@@ -141,9 +153,6 @@ let table_delete t slot =
       t.dirty.(!hole) <- t.dirty.(!j);
       t.owner.(!hole) <- t.owner.(!j);
       t.mslot.(!hole) <- t.mslot.(!j);
-      let tmp = t.data.(!hole) in
-      t.data.(!hole) <- t.data.(!j);
-      t.data.(!j) <- tmp;
       t.keys.(!j) <- -1;
       t.dirty.(!j) <- false;
       t.owner.(!j) <- 0;
@@ -157,7 +166,7 @@ let set_owner t txid = t.cur_owner <- txid
 
 let write_back t base slot =
   Crashpoint.tick t.cp Crashpoint.Cache_writeback;
-  Scm_device.write_from t.dev base t.data.(slot) 0 t.line_size;
+  Scm_device.write_from t.dev base t.data (line_off t slot) t.line_size;
   t.dirty.(slot) <- false;
   (* Attribute the deferred write-back to the transaction that dirtied
      the line; only when tracing, so the common path stays one
@@ -195,15 +204,15 @@ let get_line t base =
     t.keys.(slot) <- base;
     t.dirty.(slot) <- false;
     t.owner.(slot) <- 0;
-    Scm_device.read_into t.dev base t.data.(slot) 0 t.line_size;
     member_add t base slot;
+    Scm_device.read_into t.dev base t.data (line_off t slot) t.line_size;
     slot
   end
 
 let read_word t addr =
   let base = line_base t addr in
   let slot = get_line t base in
-  Word.get t.data.(slot) (addr - base)
+  Word.get t.data (line_off t slot + addr - base)
 
 (* Coherent read that never allocates a line (an uncached/non-temporal
    load): resident lines answer from the cache, everything else reads
@@ -213,13 +222,23 @@ let read_word t addr =
 let peek_word t addr =
   let base = line_base t addr in
   let slot = find_slot t base in
-  if slot >= 0 then Word.get t.data.(slot) (addr - base)
+  if slot >= 0 then Word.get t.data (line_off t slot + addr - base)
   else Scm_device.load64 t.dev (addr - (addr mod 8))
+
+(* [peek_word] over a span within one line, with one probe. *)
+let peek_into t addr dst off nbytes =
+  let base = line_base t addr in
+  if nbytes < 0 || addr - base + nbytes > t.line_size then
+    invalid_arg "Cache.peek_into: span crosses a line";
+  let slot = find_slot t base in
+  if slot >= 0 then
+    Bytes.blit t.data (line_off t slot + addr - base) dst off nbytes
+  else Scm_device.read_into t.dev addr dst off nbytes
 
 let write_word t addr v =
   let base = line_base t addr in
   let slot = get_line t base in
-  Word.set t.data.(slot) (addr - base) v;
+  Word.set t.data (line_off t slot + addr - base) v;
   t.dirty.(slot) <- true;
   t.owner.(slot) <- t.cur_owner
 
@@ -229,7 +248,7 @@ let rec read_into t addr buf off len =
     let slot = get_line t base in
     let within = addr - base in
     let n = min len (t.line_size - within) in
-    Bytes.blit t.data.(slot) within buf off n;
+    Bytes.blit t.data (line_off t slot + within) buf off n;
     read_into t (addr + n) buf (off + n) (len - n)
   end
 
@@ -239,7 +258,7 @@ let rec write_from t addr buf off len =
     let slot = get_line t base in
     let within = addr - base in
     let n = min len (t.line_size - within) in
-    Bytes.blit buf off t.data.(slot) within n;
+    Bytes.blit buf off t.data (line_off t slot + within) n;
     t.dirty.(slot) <- true;
     t.owner.(slot) <- t.cur_owner;
     write_from t (addr + n) buf (off + n) (len - n)

@@ -42,6 +42,13 @@ val peek_word : t -> int -> int64
     otherwise.  Recovery-time region sweeps use this so a full scan
     neither evicts the working set nor advances the eviction rng. *)
 
+val peek_into : t -> int -> Bytes.t -> int -> int -> unit
+(** [peek_into t addr dst off nbytes] copies [nbytes] bytes at [addr],
+    which must lie within one line, into [dst] at [off]: what
+    {!peek_word} reads for each word of the span, with one probe.
+    Allocates nothing and, like {!peek_word}, changes no residency and
+    draws nothing from the eviction rng. *)
+
 val write_word : t -> int -> int64 -> unit
 (** Write into the cache, marking the line dirty.  Not durable until the
     line is flushed, evicted, or written back by a crash policy. *)

@@ -31,6 +31,29 @@ let load_nt (env : Env.t) addr =
         drain_if_pending env addr;
         Cache.peek_word env.machine.cache addr
 
+(* [nwords] {!load_nt} calls in address order, one line at a time.
+   A line read while the WC buffer is empty is one cache peek; while
+   anything is pending, the line goes word by word through [load_nt],
+   so store forwarding and the drain it may trigger happen at exactly
+   the word they would. *)
+let load_nt_into (env : Env.t) addr dst off nwords =
+  if not (Word.is_aligned addr) then
+    invalid_arg (Printf.sprintf "Primitives.load_nt_into: unaligned %#x" addr);
+  let cache = env.machine.cache in
+  let line = Cache.line_size cache in
+  let a = ref addr and o = ref off and left = ref nwords in
+  while !left > 0 do
+    let n = min !left ((line - (!a mod line)) / 8) in
+    if Wc_buffer.is_empty env.wc then Cache.peek_into cache !a dst !o (8 * n)
+    else
+      for i = 0 to n - 1 do
+        Word.set dst (!o + (8 * i)) (load_nt env (!a + (8 * i)))
+      done;
+    a := !a + (8 * n);
+    o := !o + (8 * n);
+    left := !left - n
+  done
+
 let store (env : Env.t) addr v =
   env.delay env.machine.latency.cache_hit_ns;
   if not (Wc_buffer.is_empty env.wc) then drain_if_pending env addr;

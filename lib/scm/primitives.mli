@@ -19,8 +19,17 @@ val load : Env.t -> int -> int64
 val load_nt : Env.t -> int -> int64
 (** Non-temporal read: coherent with pending streaming stores and
     resident cache lines, but never allocates a line (and so never
-    evicts).  Charges the media read latency instead of a cache hit.
-    Meant for recovery-time sweeps over whole regions. *)
+    evicts).  Charges no simulated time: a sequential sweep streams at
+    bandwidth, and a delay per word would perturb every interleaving
+    whenever a thread attaches its log.  Meant for recovery-time sweeps
+    over whole regions. *)
+
+val load_nt_into : Env.t -> int -> Bytes.t -> int -> int -> unit
+(** [load_nt_into env addr dst off nwords] reads [nwords] aligned words
+    from [addr] into [dst] at byte offset [off]: the same values and
+    side effects as that many {!load_nt} calls in address order.  Each
+    line read while the write-combining buffer is empty is one cache
+    peek ({!Cache.peek_into}); otherwise the line goes word by word. *)
 
 val store : Env.t -> int -> int64 -> unit
 (** Cached write; durable only after [flush] + [fence] (or an unlucky

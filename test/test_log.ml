@@ -611,6 +611,175 @@ let test_rawl_recovery_crash_idempotent () =
       Alcotest.(check bool) "crash points were explored" true (!explored > 0))
 
 (* ------------------------------------------------------------------ *)
+(* The erase sweep against a per-word reference                        *)
+
+(* Reference recovery: the scan, then the erase sweep as one
+   non-temporal load per free word.  {!Pmlog.Rawl.attach}, which reads
+   the free region in spans, must match it in device bytes,
+   persistence-op count and simulated clock. *)
+let reference_attach v ~base =
+  let log, records = Pmlog.Rawl.scan v ~base in
+  let cap = Pmlog.Rawl.capacity log in
+  let slot pos = base + Pmlog.Rawl.header_bytes + (8 * pos) in
+  let off, parity, tpos = Pmlog.Rawl.tail log in
+  let pos = ref off and parity = ref parity and erased = ref false in
+  for _ = 1 to Pmlog.Rawl.free_words log do
+    let w = Region.Pmem.load_nt v (slot !pos) in
+    let _, torn = Pmlog.Rawl.extract_torn w tpos in
+    if torn = (!parity = 1) then begin
+      let filler = if !parity = 1 then 0L else Int64.shift_left 1L tpos in
+      Region.Pmem.wtstore v (slot !pos) filler;
+      erased := true
+    end;
+    incr pos;
+    if !pos = cap then begin
+      pos := 0;
+      parity := 1 - !parity
+    end
+  done;
+  if !erased then Region.Pmem.fence v;
+  (log, records)
+
+type sweep_outcome = {
+  image : Bytes.t;  (* the whole device after the run *)
+  ops : int;  (* Crashpoint.count *)
+  clock : int;  (* simulated ns charged to the view *)
+  recs : int64 array list option;  (* None: crashed *)
+}
+
+(* Open [dev] over [dir] and attach the log at [base] with [attach],
+   crashing at persistence op [crash_at] if given. *)
+let run_sweep attach dev dir ~base ~crash_at =
+  let cp = Scm.Crashpoint.create () in
+  Option.iter (fun k -> Scm.Crashpoint.arm cp ~at:k) crash_at;
+  let m = Scm.Env.machine_of_device ~crash_point:cp dev in
+  let t = Region.Pmem.open_instance m (Region.Backing_store.open_dir dir) in
+  let v = Region.Pmem.default_view t in
+  let recs =
+    match attach v ~base with
+    | _, records -> Some records
+    | exception Scm.Crashpoint.Simulated_crash _ ->
+        Scm.Crash.inject m;
+        None
+  in
+  let size = Scm.Scm_device.size_bytes dev in
+  let image = Bytes.create size in
+  Scm.Scm_device.read_into dev 0 image 0 size;
+  { image; ops = Scm.Crashpoint.count cp; clock = v.env.Scm.Env.now (); recs }
+
+(* Crash the sweep at every persistence op of its run, then recover
+   again: the span sweep and the reference must leave identical
+   devices, op counts and clocks at each step. *)
+let check_sweep_matches_reference ~what dir dev0 ~base =
+  let same step (a : sweep_outcome) (b : sweep_outcome) =
+    let msg s = Printf.sprintf "%s, %s: %s" what step s in
+    Alcotest.(check bool)
+      (msg "device image") true
+      (Bytes.equal a.image b.image);
+    Alcotest.(check int) (msg "persistence ops") b.ops a.ops;
+    Alcotest.(check int) (msg "simulated clock") b.clock a.clock;
+    Alcotest.(check (option record_list)) (msg "records") b.recs a.recs
+  in
+  let both ~crash_at devs =
+    let a = run_sweep Pmlog.Rawl.attach (fst devs) dir ~base ~crash_at in
+    let b = run_sweep reference_attach (snd devs) dir ~base ~crash_at in
+    (a, b)
+  in
+  let fresh () = (Scm.Scm_device.copy dev0, Scm.Scm_device.copy dev0) in
+  let a, b = both ~crash_at:None (fresh ()) in
+  same "uncrashed" a b;
+  let size = Scm.Scm_device.size_bytes dev0 in
+  let image0 = Bytes.create size in
+  Scm.Scm_device.read_into dev0 0 image0 0 size;
+  Alcotest.(check bool) (what ^ ": the sweep rewrote words") false
+    (Bytes.equal a.image image0);
+  let k = ref 1 and finished = ref false in
+  while not !finished do
+    let devs = fresh () in
+    let a, b = both ~crash_at:(Some !k) devs in
+    same (Printf.sprintf "crash at op %d" !k) a b;
+    (match a.recs with
+    | Some _ -> finished := true
+    | None ->
+        let a, b = both ~crash_at:None devs in
+        same (Printf.sprintf "re-attach after a crash at op %d" !k) a b);
+    incr k
+  done
+
+(* Store [w] raw at buffer position [pos]. *)
+let plant_raw v ~base ~pos w =
+  Region.Pmem.wtstore v (base + 64 + (8 * pos)) w
+
+let test_erase_sweep_matches_reference () =
+  (* two stale current-parity words in one line: the read after the
+     first rewrite drains the WC buffer *)
+  with_tmpdir (fun dir ->
+      let m, v = stack dir in
+      let base, log = make_log v ~cap_words:1024 in
+      ignore (Pmlog.Rawl.append log [| 1L; 2L |]);
+      Pmlog.Rawl.flush log;
+      plant v ~base ~pos:5 (chunks_of [| 3L; 4L |]);
+      Scm.Crash.inject m;
+      check_sweep_matches_reference ~what:"one line" dir m.Scm.Env.dev ~base);
+  (* stale words beyond a gap, at line ends, at a page end and across
+     the wrap: two truncated 286-word records leave the tail at
+     position 572 of a 600-word log, so the free region wraps into the
+     second pass (parity 0, where a current-parity word has the torn
+     bit clear) *)
+  with_tmpdir (fun dir ->
+      let m, v = stack dir in
+      let base, log = make_log v ~cap_words:600 in
+      List.iter
+        (fun r ->
+          ignore (Pmlog.Rawl.append log r);
+          Pmlog.Rawl.flush log;
+          Pmlog.Rawl.truncate_all log)
+        [ Array.make 280 1L; Array.make 280 2L ];
+      plant v ~base ~pos:580 (chunks_of [| 1L; 0xbadL |]);
+      (* lines hold positions 8k..8k+7; position 503 ends the first
+         page of the buffer *)
+      List.iter
+        (fun pos -> plant_raw v ~base ~pos 0x77L)
+        [ 2; 3; 7; 8; 15; 300; 503; 504 ];
+      Region.Pmem.fence v;
+      Scm.Crash.inject m;
+      check_sweep_matches_reference ~what:"gap and wrap" dir m.Scm.Env.dev
+        ~base);
+  (* the tail in a second pass: never-written (zero) words carry the
+     current parity there, so each needs filler *)
+  with_tmpdir (fun dir ->
+      let m, v = stack dir in
+      let base, log = make_log v ~cap_words:64 in
+      List.iter
+        (fun r ->
+          ignore (Pmlog.Rawl.append log r);
+          Pmlog.Rawl.flush log;
+          Pmlog.Rawl.truncate_all log)
+        [ Array.make 40 1L; Array.make 20 2L ];
+      (* spans of 42 and 22 words: the tail wraps to position 0 of the
+         second pass, and the free region is positions 0..62 *)
+      List.iter (fun pos -> plant_raw v ~base ~pos 0L) [ 30; 31; 40; 55; 62 ];
+      Region.Pmem.fence v;
+      Scm.Crash.inject m;
+      check_sweep_matches_reference ~what:"second pass" dir m.Scm.Env.dev
+        ~base)
+
+let test_attach_allocation_gate () =
+  (* The erase sweep reads the free region in page spans with an
+     allocation-free torn-bit test: attaching an empty 65,536-word log
+     stays under 4,096 minor words (one non-temporal load per word
+     costs about 16 each). *)
+  with_tmpdir (fun dir ->
+      let _, v = stack dir in
+      let base, _ = make_log v ~cap_words:65536 in
+      let w0 = Gc.minor_words () in
+      let _, records = Pmlog.Rawl.attach v ~base in
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.check record_list "empty" [] records;
+      if words >= 4096. then
+        Alcotest.failf "attach allocated %.0f minor words (gate: 4096)" words)
+
+(* ------------------------------------------------------------------ *)
 (* Commit log *)
 
 let make_clog v ~cap_words =
@@ -712,6 +881,10 @@ let () =
             test_rawl_partial_trailing_wrap;
           Alcotest.test_case "crash during recovery is idempotent" `Quick
             test_rawl_recovery_crash_idempotent;
+          Alcotest.test_case "erase sweep matches per-word reference" `Quick
+            test_erase_sweep_matches_reference;
+          Alcotest.test_case "attach allocation gate" `Quick
+            test_attach_allocation_gate;
         ] );
       ( "commit-log",
         [

@@ -594,6 +594,127 @@ let prop_pmem_wordwise_model =
               ok && Region.Pmem.load v (r + (slot * 8)) = expected)
             model true))
 
+(* A span read must be indistinguishable from the per-word loop it
+   replaces: same values, and the same state left behind in every
+   layer a non-temporal read can touch.  The state is built twice from
+   one op list, over more region pages than SCM frames (so some pages
+   live only in their backing file, and some lie past its end) and a
+   small cache: durable words, dirty cached lines and streaming stores
+   left pending, some sharing a line with words that are not.  The op
+   list ends with a few unfenced streaming stores into the read page,
+   so the read often runs into pending words. *)
+type nt_op = Wt of int | Store of int | Fence | Flush of int
+
+let gen_nt_case =
+  QCheck.Gen.(
+    let word = int_bound ((20 * 512) - 1) in
+    let op =
+      frequency
+        [ (4, map (fun w -> Wt w) word); (4, map (fun w -> Store w) word);
+          (1, return Fence); (1, map (fun w -> Flush w) word) ]
+    in
+    quad bool
+      (pair (list_size (0 -- 150) op) (list_size (0 -- 4) (int_bound 511)))
+      (int_bound 19)
+      (pair (int_bound 511) (int_bound 512)))
+
+let print_nt_case (pm, (ops, posts), page, (first, n)) =
+  Printf.sprintf "pmcheck=%b page=%d first=%d n=%d posts=[%s] ops=[%s]" pm
+    page first n
+    (String.concat ";" (List.map string_of_int posts))
+    (String.concat ";"
+       (List.map
+          (function
+            | Wt w -> Printf.sprintf "Wt %d" w
+            | Store w -> Printf.sprintf "Store %d" w
+            | Fence -> "Fence"
+            | Flush w -> Printf.sprintf "Flush %d" w)
+          ops))
+
+type nt_state = {
+  values : int64 list;
+  ops : int;  (* Crashpoint.count *)
+  pending : int;  (* WC pending words *)
+  drains : int;  (* scm.wc.drains *)
+  resident : int;
+  dirty : int list;
+  evictions : int;
+  after : int list * int;  (* dirty lines and evictions after a refill *)
+  file_writes : int;  (* Backing_store.global_mutations during the read *)
+  clock : int;  (* simulated ns charged by the read *)
+  violations : int;
+}
+
+let nt_run ~span (pm, (ops, posts), page, (first, n)) =
+  with_tmpdir (fun dir ->
+      let m =
+        Scm.Env.make_machine ~seed:11 ~nframes:24 ~cache_capacity_lines:32 ()
+      in
+      if pm then ignore (Scm.Env.install_pmcheck m);
+      let t = Region.Pmem.open_instance m (Region.Backing_store.open_dir dir) in
+      let v = Region.Pmem.default_view t in
+      let r = Region.Pmem.pmap v (24 * 4096) in
+      let addr w = r + (8 * w) in
+      List.iter
+        (function
+          | Wt w -> Region.Pmem.wtstore v (addr w) (Int64.of_int (w + 1))
+          | Store w -> Region.Pmem.store v (addr w) (Int64.of_int (-w))
+          | Fence -> Region.Pmem.fence v
+          | Flush w -> Region.Pmem.flush v (addr w))
+        (ops @ List.map (fun w -> Wt ((512 * page) + w)) posts);
+      let n = min n (512 - first) in
+      let a = r + (page * 4096) + (8 * first) in
+      let mut0 = Region.Backing_store.global_mutations () in
+      let clock0 = v.env.Scm.Env.now () in
+      let values =
+        if span then begin
+          let buf = Bytes.create (8 * n) in
+          Region.Pmem.load_nt_into v a buf 0 n;
+          List.init n (fun i -> Bytes.get_int64_le buf (8 * i))
+        end
+        else List.init n (fun i -> Region.Pmem.load_nt v (a + (8 * i)))
+      in
+      let file_writes = Region.Backing_store.global_mutations () - mut0 in
+      let clock = v.env.Scm.Env.now () - clock0 in
+      let cache = m.Scm.Env.cache in
+      let state =
+        {
+          values;
+          ops = Scm.Crashpoint.count m.Scm.Env.crash_point;
+          pending = Scm.Wc_buffer.pending_words v.env.Scm.Env.wc;
+          drains =
+            Obs.Metrics.counter_value
+              (Obs.Metrics.counter m.Scm.Env.obs.Obs.metrics "scm.wc.drains");
+          resident = Scm.Cache.resident_lines cache;
+          dirty = Scm.Cache.dirty_lines cache;
+          evictions = Scm.Cache.evictions cache;
+          after = ([], 0);
+          file_writes;
+          clock;
+          violations =
+            (match m.Scm.Env.pmcheck with
+            | None -> 0
+            | Some chk -> Scm.Pmcheck.total_violations chk);
+        }
+      in
+      (* the next eviction draws: dirty 64 fresh lines past the region's
+         frames and see which lines survive *)
+      for i = 0 to 63 do
+        Scm.Cache.write_word cache ((20 * 4096) + (64 * i)) 1L
+      done;
+      {
+        state with
+        after = (Scm.Cache.dirty_lines cache, Scm.Cache.evictions cache);
+      })
+
+let prop_load_nt_into_matches_words =
+  QCheck.Test.make ~name:"span non-temporal read equals per-word reads"
+    ~count:150
+    (QCheck.make ~print:print_nt_case gen_nt_case)
+    (fun case ->
+      let span = nt_run ~span:true case in
+      span.clock = 0 && span = nt_run ~span:false case)
+
 let () =
   Alcotest.run "region"
     [
@@ -655,6 +776,7 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_pmem_wordwise_model;
+          QCheck_alcotest.to_alcotest prop_load_nt_into_matches_words;
           QCheck_alcotest.to_alcotest prop_pstatic_crash_atomic;
         ] );
     ]

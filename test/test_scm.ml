@@ -357,6 +357,7 @@ let test_cache_eviction_sequence_matches_model () =
     let i = m_find base in
     if i >= 0 then m_remove_at i
   in
+  let written = Array.make 128 0L in
   let x = ref 123456789 in
   for _ = 1 to 4000 do
     x := ((!x * 1103515245) + 12345) land 0x3FFFFFFF;
@@ -367,6 +368,7 @@ let test_cache_eviction_sequence_matches_model () =
         m_touch addr
     | 1 ->
         Cache.write_word m.cache addr (Int64.of_int !x);
+        written.(addr / 64) <- Int64.of_int !x;
         m_touch addr
     | 2 ->
         ignore (Cache.flush_line m.cache addr);
@@ -388,7 +390,29 @@ let test_cache_eviction_sequence_matches_model () =
     "workload actually evicts" true
     (List.length actual > 100);
   Alcotest.(check (list int))
-    "victim sequence matches the reference model" (List.rev !expected) actual
+    "victim sequence matches the reference model" (List.rev !expected) actual;
+  (* line bytes move with their member on every swap-remove: each line
+     still reads back its last write *)
+  Array.iteri
+    (fun i v ->
+      Alcotest.(check int64)
+        (Printf.sprintf "line %d contents" i)
+        v
+        (Cache.read_word m.cache (i * 64)))
+    written
+
+let test_make_machine_allocation_gate () =
+  (* The cache keeps its lines in one flat buffer and the device shares
+     one zero frame, so building a machine allocates a handful of
+     arrays, all but a few straight on the major heap: under 8,192
+     minor words at 2048 frames (one [Bytes] per cache slot cost about
+     165k). *)
+  let w0 = Gc.minor_words () in
+  let m = Env.make_machine ~nframes:2048 () in
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity m);
+  if words >= 8192. then
+    Alcotest.failf "make_machine allocated %.0f minor words (gate: 8192)" words
 
 (* ------------------------------------------------------------------ *)
 (* Device undo journal *)
@@ -736,6 +760,8 @@ let () =
             test_cache_dirty_lines_listing;
           Alcotest.test_case "eviction sequence matches reference model"
             `Quick test_cache_eviction_sequence_matches_model;
+          Alcotest.test_case "machine allocation gate" `Quick
+            test_make_machine_allocation_gate;
         ] );
       ( "journal",
         [
